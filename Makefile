@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint bench bench-json bench-flows bench-dtn bench-crypto fuzz soak soak-dtn soak-udp alloc-guard check
+.PHONY: build test race vet lint inline-check bench bench-json bench-flows bench-dtn bench-crypto fuzz soak soak-dtn soak-udp alloc-guard check
 
 build:
 	$(GO) build ./...
@@ -47,13 +47,17 @@ bench-json:
 bench-flows:
 	$(GO) test -run '^$$' -bench 'FlowScale' -benchtime 1x -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_0006.json
 
-# Native fuzzers over the ALF wire formats. The budget is deliberately
-# small so check stays fast; raise FUZZTIME for a real session.
+# Native fuzzers over the wire formats: the endpoints' packet handlers,
+# the codec's parse/encode round trip over every layout, and the packet
+# printer. The budget is deliberately small so check stays fast; raise
+# FUZZTIME for a real session.
 FUZZTIME ?= 5s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHandlePacket$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleControl$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleCustody$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzWireRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDescribe$$' -fuzztime $(FUZZTIME) ./internal/wire
 
 # One seeded chaos pass: every scenario x policy plus the blackout
 # shed/report assertions, and the overload family (closed-loop passes,
@@ -99,12 +103,25 @@ bench-crypto:
 
 # Static analysis beyond vet. staticcheck is not vendored; the target
 # no-ops with a notice where the binary is absent (CI installs it).
-lint: vet
+lint: vet inline-check
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
 		echo "staticcheck not installed; skipping (CI runs it)"; \
 	fi
+
+# The disabled tracer's budget (TestDisabledTracerOverhead) rests on
+# every exported (*Tracer) hook in tracing.go inlining its nil check
+# into the call site. Hold that by structure: fail when the compiler's
+# -m report does not list a hook as inlinable, whatever the host timing.
+inline-check:
+	@hooks=$$(sed -n 's/^func (t \*Tracer) \([A-Z][A-Za-z0-9]*\)(.*/\1/p' internal/tracing/tracing.go); \
+	inl=$$($(GO) build -gcflags=-m ./internal/tracing 2>&1 | sed -n 's/^.*tracing\.go:.*: can inline (\*Tracer)\.\([A-Za-z0-9]*\)$$/\1/p'); \
+	[ -n "$$hooks" ] || { echo "inline-check: no (*Tracer) hooks found"; exit 1; }; \
+	bad=0; for h in $$hooks; do \
+		echo "$$inl" | grep -qx "$$h" || { echo "inline-check: (*Tracer).$$h is not inlinable"; bad=1; }; \
+	done; \
+	[ $$bad -eq 0 ] && echo "inline-check: $$(echo $$hooks | wc -w) tracer hooks inline"; exit $$bad
 
 # Allocation-regression gate: the steady-state datapath
 # (send -> forward -> deliver, plus the FEC paths) must run at

@@ -55,8 +55,13 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tracing"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
+
+// HeaderSize is the DATA fragment header length; wire.HeaderSize
+// documents the layout.
+const HeaderSize = wire.HeaderSize
 
 // Policy selects the loss-recovery scheme for a stream (§5).
 type Policy uint8
@@ -124,7 +129,7 @@ func (a *ADU) Release() {
 var (
 	ErrADUTooLarge  = errors.New("alf: ADU exceeds MaxADU")
 	ErrBufferLimit  = errors.New("alf: sender retention buffer full")
-	ErrBadHeader    = errors.New("alf: malformed or corrupt header")
+	ErrBadHeader    = wire.ErrMalformed
 	ErrWrongStream  = errors.New("alf: fragment for another stream")
 	ErrNameOrder    = errors.New("alf: ADU names must be assigned by the sender")
 	ErrMTUTooSmall  = errors.New("alf: MTU leaves no fragment payload")
@@ -480,7 +485,7 @@ func (c *Config) fill() {
 func (c *Config) fragPayload() int {
 	budget := c.MTU - HeaderSize
 	if c.Suite == SuiteAEAD {
-		budget -= aeadTagSize
+		budget -= wire.TagSize
 	}
 	fp := budget &^ 7
 	if fp > 0xFFF8 {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
 
@@ -178,8 +179,8 @@ func TestLossOfFragmentLosesWholeADUOnly(t *testing.T) {
 	dropOne := true
 	var snd *Sender
 	send := func(pkt []byte) error {
-		if dropOne && PacketType(pkt) == 1 {
-			h, err := parseHeader(pkt)
+		if dropOne && wire.Type(pkt) == wire.TypeData {
+			h, err := wire.ParseHeader(pkt)
 			if err == nil && h.Name == 5 && h.FragOff == 256 {
 				dropOne = false
 				return nil
@@ -243,17 +244,17 @@ func TestEncryptionActuallyCiphers(t *testing.T) {
 	// Sniff the wire: payload bytes must not equal the plaintext.
 	s := sim.NewScheduler()
 	cfg := Config{Key: 123}
-	var wire []byte
+	var onWire []byte
 	snd, _ := NewSender(s, func(pkt []byte) error {
-		if PacketType(pkt) == 1 {
-			wire = append([]byte(nil), pkt[HeaderSize:]...)
+		if wire.Type(pkt) == wire.TypeData {
+			onWire = append([]byte(nil), pkt[HeaderSize:]...)
 		}
 		return nil
 	}, cfg)
 	data := payload(64, 9)
 	snd.Send(0, xcode.SyntaxRaw, data)
 	s.Run()
-	if bytes.Equal(wire, data) {
+	if bytes.Equal(onWire, data) {
 		t.Error("payload traveled in cleartext despite Key")
 	}
 }
@@ -401,7 +402,7 @@ func TestPacingSpacesFragments(t *testing.T) {
 	var times []sim.Time
 	cfg := Config{RateBps: 8e6, MTU: 1000 + HeaderSize} // ~1ms per ~1KB fragment
 	snd, _ := NewSender(s, func(pkt []byte) error {
-		if PacketType(pkt) == 1 {
+		if wire.Type(pkt) == wire.TypeData {
 			times = append(times, s.Now())
 		}
 		return nil
@@ -428,7 +429,7 @@ func TestSetRateTakesEffect(t *testing.T) {
 	var times []sim.Time
 	cfg := Config{MTU: 1000 + HeaderSize}
 	snd, _ := NewSender(s, func(pkt []byte) error {
-		if PacketType(pkt) == 1 {
+		if wire.Type(pkt) == wire.TypeData {
 			times = append(times, s.Now())
 		}
 		return nil
@@ -517,7 +518,7 @@ func TestHeaderCorruptionDropped(t *testing.T) {
 	rcv, _ := NewReceiver(s, nil, Config{})
 	// Valid-ish header with flipped bit.
 	snd, _ := NewSender(s, func(pkt []byte) error {
-		if PacketType(pkt) != 1 {
+		if wire.Type(pkt) != wire.TypeData {
 			return nil
 		}
 		bad := append([]byte(nil), pkt...)
@@ -546,9 +547,8 @@ func TestRuntimeShortPacket(t *testing.T) {
 }
 
 func TestControlRoundtrip(t *testing.T) {
-	c := &control{Stream: 3, Cum: 12345, Nacks: []uint64{1, 5, 9}}
-	enc := encodeControl(c)
-	got, err := parseControl(enc)
+	enc := wire.EncodeControl(wire.Control{Stream: 3, Cum: 12345, Nacks: []uint64{1, 5, 9}})
+	got, err := wire.ParseControl(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,20 +557,20 @@ func TestControlRoundtrip(t *testing.T) {
 	}
 	// Corruption detected.
 	enc[5] ^= 1
-	if _, err := parseControl(enc); err == nil {
+	if _, err := wire.ParseControl(enc); err == nil {
 		t.Error("corrupt control accepted")
 	}
 }
 
 func TestHeaderRoundtrip(t *testing.T) {
-	h := header{
+	h := wire.Header{
 		Stream: 9, Name: 1 << 40, Tag: 0xFFFFFFFFFFFFFFFF,
-		Syntax: xcode.SyntaxXDR, Flags: flagEnciphered,
+		Syntax: byte(xcode.SyntaxXDR), Flags: wire.FlagEnciphered,
 		TotalLen: 1 << 20, FragOff: 4096, FragLen: 1024, ADUCheck: 0xBEEF,
 	}
 	buf := make([]byte, HeaderSize+1024)
-	putHeader(buf, &h)
-	got, err := parseHeader(buf)
+	wire.PutHeader(buf, &h)
+	got, err := wire.ParseHeader(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,10 +579,33 @@ func TestHeaderRoundtrip(t *testing.T) {
 	}
 }
 
+// TestPacketType: every packet the endpoints emit carries the type byte
+// its direction demultiplexes on, and Classify agrees with it.
 func TestPacketType(t *testing.T) {
-	if PacketType([]byte{1, 0}) != 1 || PacketType([]byte{2}) != 2 ||
-		PacketType([]byte{9}) != 0 || PacketType(nil) != 0 {
-		t.Error("PacketType misclassifies")
+	if wire.Type([]byte{1, 0}) != wire.TypeData || wire.Type([]byte{2}) != wire.TypeCtrl ||
+		wire.Type([]byte{9}) != 0 || wire.Type(nil) != 0 {
+		t.Error("wire.Type misclassifies")
+	}
+	s := sim.NewScheduler()
+	kinds := map[byte]wire.Kind{}
+	tap := func(next func([]byte) error) func([]byte) error {
+		return func(p []byte) error {
+			kinds[wire.Type(p)] = wire.Classify(p).Kind
+			return next(p)
+		}
+	}
+	var rcv *Receiver
+	snd, _ := NewSender(s, tap(func(p []byte) error { return rcv.HandlePacket(p) }),
+		Config{NackInterval: time.Millisecond, FeedbackInterval: time.Millisecond})
+	rcv, _ = NewReceiver(s, tap(snd.HandleControl),
+		Config{NackInterval: time.Millisecond, FeedbackInterval: time.Millisecond})
+	snd.Send(0, xcode.SyntaxRaw, payload(100, 1))
+	s.RunUntil(sim.Time(50 * time.Millisecond))
+	want := map[byte]wire.Kind{wire.TypeData: wire.KindData, wire.TypeCtrl: wire.KindCtrl, wire.TypeFB: wire.KindFB}
+	for typ, k := range want {
+		if kinds[typ] != k {
+			t.Errorf("type %d classified as %v, want %v (saw %v)", typ, kinds[typ], k, kinds)
+		}
 	}
 }
 
@@ -638,7 +661,7 @@ func TestLossesExpressedInADUNames(t *testing.T) {
 	}
 	var rcv *Receiver
 	snd, _ := NewSender(s, func(pkt []byte) error {
-		h, err := parseHeader(pkt)
+		h, err := wire.ParseHeader(pkt)
 		if err == nil && h.Name == 1 {
 			return nil // ADU 1 never arrives, ever
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"repro/internal/cipher"
+	"repro/internal/wire"
 )
 
 // CipherSuite selects the data-manipulation cipher stage for a stream
@@ -53,9 +54,9 @@ func (cs CipherSuite) String() string {
 	}
 }
 
-// aeadTagSize is the per-fragment Poly1305 tag appended after the
-// ciphertext on SuiteAEAD wire fragments.
-const aeadTagSize = cipher.TagSize
+// The wire layout reserves wire.TagSize bytes after the ciphertext of
+// every SuiteAEAD fragment for the Poly1305 tag; the two must agree.
+const _ = uint(cipher.TagSize-wire.TagSize) + uint(wire.TagSize-cipher.TagSize)
 
 // ChaCha20 block-counter domains. The payload keystream for an ADU
 // starts at counter 1 (aeadOff in internal/ilp), growing upward by one

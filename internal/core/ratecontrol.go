@@ -5,7 +5,7 @@ package alf
 // rather than by window, and that the control loop which *sets* the
 // rate is a separable concern from error recovery. This file is that
 // separable concern: the receiver periodically reports what the path
-// actually delivered (see the feedback message in wire.go), and a
+// actually delivered (see wire.Feedback), and a
 // pluggable RateController turns each report into the next pacing
 // rate. The default is no controller at all — Config.RateBps stays a
 // fixed, out-of-band knob exactly as before — so the closed loop is
@@ -23,7 +23,7 @@ import "repro/internal/sim"
 // Priority classifies an ADU for load shedding. Shedding is a
 // sender-side decision made before packetization, which is the whole
 // point — a shed ADU costs nothing downstream and consumes no ADU
-// name. Critical is additionally marked on the wire (flagCritical) so
+// name. Critical is additionally marked on the wire (wire.FlagCritical) so
 // custody relays can apply the same survivability ordering to their
 // bounded stores.
 type Priority uint8

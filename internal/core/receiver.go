@@ -9,6 +9,7 @@ import (
 	"repro/internal/ilp"
 	"repro/internal/scramble"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
 
@@ -123,7 +124,7 @@ type Receiver struct {
 	fb         *sim.Timer
 	fbSeq      uint32
 	lastFBWire int64
-	fbScratch  [feedbackSize]byte
+	fbScratch  [wire.FeedbackSize]byte
 
 	m recvMetrics
 
@@ -174,10 +175,10 @@ func (r *Receiver) Missing() int { return len(r.missings) }
 // HandlePacket processes one arriving wire packet (DATA fragment or
 // heartbeat; CTRL is ignored here — control flows to the Sender).
 func (r *Receiver) HandlePacket(pkt []byte) error {
-	if len(pkt) > 0 && pkt[0] == typeHB {
+	if wire.Type(pkt) == wire.TypeHB {
 		return r.handleHeartbeat(pkt)
 	}
-	h, err := parseHeader(pkt)
+	h, err := wire.ParseHeader(pkt)
 	if err != nil {
 		r.Stats.HeaderDrops++
 		return err
@@ -185,7 +186,7 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 	if h.Stream != r.cfg.StreamID {
 		return ErrWrongStream
 	}
-	if (h.Flags&flagAEAD != 0) != (r.cfg.Suite == SuiteAEAD) {
+	if (h.Flags&wire.FlagAEAD != 0) != (r.cfg.Suite == SuiteAEAD) {
 		// Suites must agree end to end: a cleartext fragment arriving on
 		// an AEAD stream is unauthenticated input, and an AEAD fragment
 		// on a legacy stream cannot be verified.
@@ -232,12 +233,11 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 		r.Stats.Inconsistent++
 		return ErrInconsistent
 	}
-	payload := pkt[HeaderSize : HeaderSize+h.FragLen]
-	aead := h.Flags&flagAEAD != 0
+	payload, tag := pkt[HeaderSize:HeaderSize+h.FragLen], pkt[HeaderSize+h.FragLen:h.WireLen()]
+	aead := h.Flags&wire.FlagAEAD != 0
 
-	if h.Flags&flagParity != 0 {
-		if aead && !r.verifyParityTag(h.Name, h.FragOff, payload,
-			pkt[HeaderSize+h.FragLen:HeaderSize+h.FragLen+aeadTagSize]) {
+	if h.Flags&wire.FlagParity != 0 {
+		if aead && !r.verifyParityTag(h.Name, h.FragOff, payload, tag) {
 			r.Stats.AuthFails++
 			return ErrAuthFail
 		}
@@ -253,8 +253,7 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 		return nil
 	}
 	if aead {
-		if !r.placeAEAD(h.Name, p, h.FragOff, payload,
-			pkt[HeaderSize+h.FragLen:HeaderSize+h.FragLen+aeadTagSize]) {
+		if !r.placeAEAD(h.Name, p, h.FragOff, payload, tag) {
 			// A fragment that fails authentication is a lost fragment:
 			// its range stays unaccounted (the plaintext bytes written
 			// into the reassembly buffer are dead until a verified copy
@@ -282,7 +281,7 @@ func (r *Receiver) HandlePacket(pkt []byte) error {
 
 // getPartial returns reassembly state for a new ADU: a recycled struct
 // (maps cleared on recycle) around a pooled buffer sized to the ADU.
-func (r *Receiver) getPartial(h *header) *partial {
+func (r *Receiver) getPartial(h *wire.Header) *partial {
 	var p *partial
 	if n := len(r.freeParts); n > 0 {
 		p = r.freeParts[n-1]
@@ -294,8 +293,8 @@ func (r *Receiver) getPartial(h *header) *partial {
 	ref := r.cfg.Pool.Get(h.TotalLen)
 	*p = partial{
 		tag:       h.Tag,
-		syntax:    h.Syntax,
-		flags:     h.Flags &^ flagParity,
+		syntax:    xcode.SyntaxID(h.Syntax),
+		flags:     h.Flags &^ wire.FlagParity,
 		check:     h.ADUCheck,
 		total:     h.TotalLen,
 		ref:       ref,
@@ -325,7 +324,7 @@ func (r *Receiver) putPartial(p *partial) {
 // fused (§6).
 func (r *Receiver) placeFragment(name uint64, p *partial, off int, payload []byte) {
 	p.got[off] = len(payload)
-	if p.flags&flagEnciphered != 0 {
+	if p.flags&wire.FlagEnciphered != 0 {
 		p.sum += ilp.FusedDecryptCopySum(p.buf[off:off+len(payload)], payload, r.cfg.Key^name, off)
 	} else {
 		p.sum += ilp.FusedCopySum(p.buf[off:off+len(payload)], payload)
@@ -385,7 +384,7 @@ func (r *Receiver) groupStart(off int) int {
 
 // handleParity stores an FEC parity fragment (in a pooled buffer) and
 // attempts recovery.
-func (r *Receiver) handleParity(h *header, p *partial, payload []byte) {
+func (r *Receiver) handleParity(h *wire.Header, p *partial, payload []byte) {
 	if p.parities == nil {
 		p.parities = make(map[int]*buf.Ref)
 	}
@@ -449,9 +448,9 @@ func (r *Receiver) tryReconstruct(name uint64, p *partial, gs int) {
 		}
 		ilp.XORWords(rb, p.buf[off:off+n])
 		switch {
-		case p.flags&flagEnciphered != 0:
+		case p.flags&wire.FlagEnciphered != 0:
 			scramble.XORAt(r.cfg.Key^name, off, rb[:n])
-		case p.flags&flagAEAD != 0:
+		case p.flags&wire.FlagAEAD != 0:
 			// p.buf holds plaintext; folding the ChaCha20 keystream back
 			// in turns the XORed plaintext into the member's ciphertext
 			// without a scratch copy, same as the scramble path.
@@ -459,7 +458,7 @@ func (r *Receiver) tryReconstruct(name uint64, p *partial, gs int) {
 		}
 	}
 	r.Stats.FECRecovered++
-	if p.flags&flagAEAD != 0 {
+	if p.flags&wire.FlagAEAD != 0 {
 		r.placeAEADRecovered(name, p, missingOff, rb[:missingLen])
 	} else {
 		r.placeFragment(name, p, missingOff, rb[:missingLen])
@@ -473,33 +472,33 @@ func (r *Receiver) tryReconstruct(name uint64, p *partial, gs int) {
 // settle frontier so it can release retention even when earlier control
 // messages were lost.
 func (r *Receiver) handleHeartbeat(pkt []byte) error {
-	stream, next, err := parseHeartbeat(pkt)
+	hb, err := wire.ParseHeartbeat(pkt)
 	if err != nil {
 		r.Stats.HeaderDrops++
 		return err
 	}
-	if stream != r.cfg.StreamID {
+	if hb.Stream != r.cfg.StreamID {
 		return ErrWrongStream
 	}
 	r.Stats.Heartbeats++
 	r.armFeedback()
-	if next > r.cum+r.cfg.NameWindow {
+	if hb.Next > r.cum+r.cfg.NameWindow {
 		// Same corruption defence as for data fragments: never let a
 		// declared extent open an implausible gap.
 		r.Stats.HeaderDrops++
-		return fmt.Errorf("%w: heartbeat extent %d beyond window (settled %d)", ErrBadHeader, next, r.cum)
+		return fmt.Errorf("%w: heartbeat extent %d beyond window (settled %d)", ErrBadHeader, hb.Next, r.cum)
 	}
-	if next > 0 {
-		r.noteGapsUpTo(next)
-		if !r.anySeen || next-1 > r.highest {
-			r.highest = next - 1
+	if hb.Next > 0 {
+		r.noteGapsUpTo(hb.Next)
+		if !r.anySeen || hb.Next-1 > r.highest {
+			r.highest = hb.Next - 1
 			r.anySeen = true
 		}
 	}
 	if r.send != nil {
 		r.Stats.CtrlSent++
 		r.lastCum = r.cum
-		_ = r.send(encodeControl(&control{Stream: r.cfg.StreamID, Cum: r.cum}))
+		_ = r.send(wire.EncodeControl(wire.Control{Stream: r.cfg.StreamID, Cum: r.cum}))
 	}
 	return nil
 }
@@ -531,7 +530,7 @@ func (r *Receiver) complete(name uint64, p *partial) {
 	delete(r.partials, name)
 	// Under SuiteAEAD integrity was already settled per fragment by the
 	// Poly1305 tags; there is no ADU checksum to fold.
-	if p.flags&flagAEAD == 0 && ilp.FinishSum(p.sum) != p.check {
+	if p.flags&wire.FlagAEAD == 0 && ilp.FinishSum(p.sum) != p.check {
 		// A damaged ADU is a lost ADU (§5): discard it whole and let
 		// recovery request it again.
 		r.Stats.ChecksumFails++
@@ -595,8 +594,8 @@ func (r *Receiver) onFeedback() {
 	r.fbSeq++
 	r.Stats.FeedbackSent++
 	r.cfg.Tracer.FeedbackSent(r.cfg.StreamID, r.fbSeq, r.Stats.WireBytes)
-	_ = r.send(encodeFeedback(r.fbScratch[:], r.cfg.StreamID, r.fbSeq,
-		uint64(r.Stats.WireBytes), uint64(r.Stats.DeliveredBytes)))
+	_ = r.send(wire.PutFeedback(r.fbScratch[:], wire.Feedback{Stream: r.cfg.StreamID, Seq: r.fbSeq,
+		Wire: uint64(r.Stats.WireBytes), Good: uint64(r.Stats.DeliveredBytes)}))
 	r.fb.Reset(r.cfg.FeedbackInterval)
 }
 
@@ -623,7 +622,7 @@ func (r *Receiver) onScan() {
 	}
 
 	// Scan in ascending name order, not map order: which names fit under
-	// maxNacksPerMsg and the order recovery requests reach the sender
+	// wire.MaxNames and the order recovery requests reach the sender
 	// both feed back into the simulation (and the shared network RNG
 	// draw sequence), so map iteration would make runs with identical
 	// seeds diverge. Oldest names first is also the useful priority —
@@ -648,7 +647,7 @@ func (r *Receiver) onScan() {
 					giveUp(name)
 				}
 			case nackDue(now, m.noticed, m.lastNack, m.nacks, r.cfg.NackDelay):
-				if len(nacks) < maxNacksPerMsg {
+				if len(nacks) < wire.MaxNames {
 					nacks = append(nacks, name)
 					m.nacks++
 					m.lastNack = now
@@ -667,7 +666,7 @@ func (r *Receiver) onScan() {
 				giveUp(name)
 			}
 		case nackDue(now, p.firstSeen, p.lastNack, p.nacks, r.cfg.NackDelay):
-			if len(nacks) < maxNacksPerMsg {
+			if len(nacks) < wire.MaxNames {
 				nacks = append(nacks, name)
 				p.nacks++
 				p.lastNack = now
@@ -683,7 +682,7 @@ func (r *Receiver) onScan() {
 		r.Stats.NacksSent += int64(len(nacks))
 		r.lastCum = r.cum
 		r.cfg.Tracer.NacksSent(r.cfg.StreamID, nacks)
-		_ = r.send(encodeControl(&control{Stream: r.cfg.StreamID, Cum: r.cum, Nacks: nacks}))
+		_ = r.send(wire.EncodeControl(wire.Control{Stream: r.cfg.StreamID, Cum: r.cum, Nacks: nacks}))
 	}
 
 	if len(r.partials) > 0 || len(r.missings) > 0 || r.cum != r.lastCum {

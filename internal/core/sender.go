@@ -8,6 +8,7 @@ import (
 	"repro/internal/cipher"
 	"repro/internal/ilp"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
 
@@ -187,7 +188,7 @@ func (s *Sender) onHeartbeat() {
 	if s.emittedNext > 0 {
 		s.Stats.Heartbeats++
 		s.cfg.Tracer.HeartbeatSent(s.cfg.StreamID, s.emittedNext)
-		_ = s.send(encodeHeartbeat(s.cfg.StreamID, s.emittedNext))
+		_ = s.send(wire.EncodeHeartbeat(wire.Heartbeat{Stream: s.cfg.StreamID, Next: s.emittedNext}))
 	}
 	s.hb.Reset(s.hbInterval())
 }
@@ -490,16 +491,16 @@ func (s *Sender) packetizeAEAD(name uint64, data []byte, frags []wireFrag) []wir
 		if n > frag {
 			n = frag
 		}
-		ref := s.cfg.Pool.GetHeadroom(n+aeadTagSize, headroom)
+		ref := s.cfg.Pool.GetHeadroom(n+wire.TagSize, headroom)
 		w := ref.Bytes()
 		mac := newTagMAC(&s.cfg.aeadKey, &nonce, tagCtrData+uint32(off/8))
 		ilp.FusedEncryptCopyMAC(w[:n], data[off:off+n], &s.cfg.aeadKey, &nonce, off, &mac)
-		mac.Sum(w[n : n+aeadTagSize])
+		mac.Sum(w[n : n+wire.TagSize])
 		frags = append(frags, wireFrag{ref: ref, off: off, n: n})
 		if s.cfg.FECGroup > 0 {
 			if inGroup == 0 {
 				parityOff, parityLen = off, n
-				parity = s.cfg.Pool.GetHeadroom(n+aeadTagSize, headroom)
+				parity = s.cfg.Pool.GetHeadroom(n+wire.TagSize, headroom)
 				ilp.WordCopy(parity.Bytes()[:n], w[:n])
 			} else {
 				ilp.XORWords(parity.Bytes()[:parityLen], w[:n])
@@ -527,41 +528,41 @@ func (s *Sender) sealParity(nonce *[cipher.NonceSize]byte, parity *buf.Ref, off,
 	mac := newTagMAC(&s.cfg.aeadKey, nonce, tagCtrParity+uint32(off/8))
 	pb := parity.Bytes()
 	mac.Update(pb[:n])
-	mac.Sum(pb[n : n+aeadTagSize])
+	mac.Sum(pb[n : n+wire.TagSize])
 	return wireFrag{ref: parity, off: off, n: n, parity: true}
 }
 
 // stamp prepends and fills each fragment's header in place: the
 // payload, already in its final position, never moves. Critical ADUs
-// carry flagCritical so intermediate custody relays can apply the
+// carry wire.FlagCritical so intermediate custody relays can apply the
 // application's survival priority without decoding payloads.
 func (s *Sender) stamp(name, tag uint64, syntax xcode.SyntaxID, totalLen int, ck uint16, class Priority, frags []wireFrag) {
 	var flags byte
 	switch s.cfg.Suite {
 	case SuiteScramble:
-		flags |= flagEnciphered
+		flags |= wire.FlagEnciphered
 	case SuiteAEAD:
-		flags |= flagAEAD
+		flags |= wire.FlagAEAD
 	}
 	if class == Critical {
-		flags |= flagCritical
+		flags |= wire.FlagCritical
 	}
-	h := header{
+	h := wire.Header{
 		Stream:   s.cfg.StreamID,
 		Name:     name,
 		Tag:      tag,
-		Syntax:   syntax,
+		Syntax:   byte(syntax),
 		TotalLen: totalLen,
 		ADUCheck: ck,
 	}
 	for _, f := range frags {
 		h.Flags = flags
 		if f.parity {
-			h.Flags |= flagParity
+			h.Flags |= wire.FlagParity
 		}
 		h.FragOff = f.off
 		h.FragLen = f.n
-		putHeader(f.ref.Prepend(HeaderSize), &h)
+		wire.PutHeader(f.ref.Prepend(HeaderSize), &h)
 		if len(s.cfg.Encap) > 0 {
 			// The outer demux prefix, stamped once into the reserved
 			// headroom; resends of retained fragments reuse it as-is.
@@ -671,13 +672,13 @@ func (s *Sender) emit(pkt *buf.Ref, priority bool, markNext uint64, ref fragRef)
 // channel: cumulative releases and per-ADU recovery requests (CTRL),
 // or a delivery report (FB) for the rate-control loop.
 func (s *Sender) HandleControl(pkt []byte) error {
-	if len(pkt) > 0 && pkt[0] == typeFB {
+	switch wire.Type(pkt) {
+	case wire.TypeFB:
 		return s.handleFeedback(pkt)
-	}
-	if len(pkt) > 0 && pkt[0] == typeCA {
+	case wire.TypeCA:
 		return s.handleCustody(pkt)
 	}
-	c, err := parseControl(pkt)
+	c, err := wire.ParseControl(pkt)
 	if err != nil {
 		s.Stats.CtrlDropped++
 		return err
@@ -718,15 +719,15 @@ func (s *Sender) HandleControl(pkt []byte) error {
 // RateSample, update the loss EWMA that drives shedding, and let the
 // controller (if any) set the next pacing rate.
 func (s *Sender) handleFeedback(pkt []byte) error {
-	stream, seq, wire, good, err := parseFeedback(pkt)
+	fb, err := wire.ParseFeedback(pkt)
 	if err != nil {
 		s.Stats.CtrlDropped++
 		return err
 	}
-	if stream != s.cfg.StreamID {
+	if fb.Stream != s.cfg.StreamID {
 		return ErrWrongStream
 	}
-	if seq <= s.fbSeq {
+	if fb.Seq <= s.fbSeq {
 		// Reordered or duplicated report: a newer cumulative view was
 		// already processed, so this one carries nothing.
 		return nil
@@ -736,8 +737,8 @@ func (s *Sender) handleFeedback(pkt []byte) error {
 	sample := RateSample{
 		Interval:       now.Sub(s.fbAt),
 		SentBytes:      sent - s.fbSent,
-		RecvBytes:      int64(wire) - s.fbWire,
-		DeliveredBytes: int64(good) - s.fbGood,
+		RecvBytes:      int64(fb.Wire) - s.fbWire,
+		DeliveredBytes: int64(fb.Good) - s.fbGood,
 		Backlog:        s.backlog(now),
 	}
 	if sample.SentBytes > 0 {
@@ -749,7 +750,7 @@ func (s *Sender) handleFeedback(pkt []byte) error {
 		}
 		sample.LossFrac = lf
 	}
-	s.fbSeq, s.fbAt, s.fbWire, s.fbGood, s.fbSent = seq, now, int64(wire), int64(good), sent
+	s.fbSeq, s.fbAt, s.fbWire, s.fbGood, s.fbSent = fb.Seq, now, int64(fb.Wire), int64(fb.Good), sent
 	s.lossEWMA = 0.7*s.lossEWMA + 0.3*sample.LossFrac
 	s.Stats.FeedbackRecv++
 	if s.cfg.Controller != nil {
@@ -770,7 +771,7 @@ func (s *Sender) handleFeedback(pkt []byte) error {
 // delivery, and the receiver's own cumulative acks still govern when
 // the stream extent stops being declared.
 func (s *Sender) handleCustody(pkt []byte) error {
-	ca, err := ParseCustody(pkt)
+	ca, err := wire.ParseCustody(pkt)
 	if err != nil {
 		s.Stats.CtrlDropped++
 		return err
@@ -888,7 +889,7 @@ func (s *Sender) resend(name uint64) {
 		}
 		wireLen := saved.wireLen + len(saved.frags)*HeaderSize
 		if s.cfg.Suite == SuiteAEAD {
-			wireLen += len(saved.frags) * aeadTagSize
+			wireLen += len(saved.frags) * wire.TagSize
 		}
 		if !s.allowRecovery(wireLen, saved.class) {
 			return

@@ -25,7 +25,6 @@ package alf
 // result — the determinism tests hold exactly that.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -33,6 +32,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
 
@@ -42,9 +42,6 @@ import (
 // its flow without parsing ALF headers — the ADU's own naming
 // information is the dispatch key (§7).
 type FlowID uint64
-
-// flowIDSize is the wire size of the FlowID encapsulation prefix.
-const flowIDSize = 8
 
 // ShardOf maps a flow to its owning shard: a Fibonacci hash of the id
 // folded onto [0, shards). Flows with adjacent ids land on different
@@ -135,7 +132,7 @@ type Flow struct {
 	Receiver *Receiver
 
 	shard *Shard
-	encap [flowIDSize]byte
+	encap [wire.FlowIDSize]byte
 }
 
 // Shard returns the flow's owning shard (for scheduling follow-on
@@ -160,9 +157,9 @@ func (f *Flow) sendUp(p []byte) error { return f.frame(f.shard.up, p) }
 func (f *Flow) sendDown(p []byte) error { return f.frame(f.shard.down, p) }
 
 func (f *Flow) frame(l *netsim.Link, p []byte) error {
-	ref := f.shard.pool.GetHeadroom(len(p), flowIDSize)
+	ref := f.shard.pool.GetHeadroom(len(p), wire.FlowIDSize)
 	copy(ref.Bytes(), p)
-	copy(ref.Prepend(flowIDSize), f.encap[:])
+	copy(ref.Prepend(wire.FlowIDSize), f.encap[:])
 	return l.SendRef(ref)
 }
 
@@ -240,24 +237,24 @@ func (sh *Shard) sorted() []FlowID {
 // demuxData routes an arriving trunk packet (DATA, HB) to its flow's
 // receiver by the 8-byte flow-id prefix.
 func (sh *Shard) demuxData(p *netsim.Packet) {
-	if len(p.Payload) < flowIDSize {
+	id, inner, ok := wire.ParseFlowID(p.Payload)
+	if !ok {
 		return
 	}
-	id := FlowID(binary.BigEndian.Uint64(p.Payload[:flowIDSize]))
-	if f := sh.flows[id]; f != nil {
-		_ = f.Receiver.HandlePacket(p.Payload[flowIDSize:])
+	if f := sh.flows[FlowID(id)]; f != nil {
+		_ = f.Receiver.HandlePacket(inner)
 	}
 }
 
 // demuxCtrl routes a returning trunk packet (CTRL, FB) to its flow's
 // sender.
 func (sh *Shard) demuxCtrl(p *netsim.Packet) {
-	if len(p.Payload) < flowIDSize {
+	id, inner, ok := wire.ParseFlowID(p.Payload)
+	if !ok {
 		return
 	}
-	id := FlowID(binary.BigEndian.Uint64(p.Payload[:flowIDSize]))
-	if f := sh.flows[id]; f != nil {
-		_ = f.Sender.HandleControl(p.Payload[flowIDSize:])
+	if f := sh.flows[FlowID(id)]; f != nil {
+		_ = f.Sender.HandleControl(inner)
 	}
 }
 
@@ -355,7 +352,7 @@ func (t *Sharded) AddFlow(id FlowID) (*Flow, error) {
 		return nil, fmt.Errorf("%w: duplicate flow id %d", ErrConfig, id)
 	}
 	f := &Flow{ID: id, shard: sh}
-	binary.BigEndian.PutUint64(f.encap[:], uint64(id))
+	wire.PutFlowID(f.encap[:], uint64(id))
 
 	cfg := t.cfg.Flow
 	cfg.StreamID = byte(id) // secondary check; the encap prefix routes

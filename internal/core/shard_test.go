@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
 
@@ -202,7 +203,7 @@ func TestShardedEncapRoundtrip(t *testing.T) {
 	// the senders' exactly, or the §3 loop would see phantom loss.
 	if st.Recv.WireBytes != st.Send.WireBytes {
 		t.Fatalf("wire accounting skewed: recv %d != sent %d (encap %d bytes/pkt)",
-			st.Recv.WireBytes, st.Send.WireBytes, flowIDSize)
+			st.Recv.WireBytes, st.Send.WireBytes, wire.FlowIDSize)
 	}
 	if st.Send.FeedbackRecv == 0 {
 		t.Fatal("no feedback crossed the encapsulated control path")

@@ -17,22 +17,14 @@
 package session
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
 
-	"repro/internal/checksum"
 	alf "repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/xcode"
-)
-
-// Wire message types (distinct from the ALF data-plane types 1-3).
-const (
-	typeOffer  = 10
-	typeAccept = 11
-	typeReject = 12
 )
 
 // Reject reason codes.
@@ -89,116 +81,29 @@ func (r Result) Config() alf.Config {
 	}
 }
 
-// offer wire layout:
-//
-//	0      type (10)
-//	1      stream id
-//	2      flags (bit0 encrypt)
-//	3      policy
-//	4:6    MTU
-//	6:8    FEC group
-//	8:16   rate (bits/s, uint64)
-//	16:24  initiator key half
-//	24     syntax count k
-//	25:..  k syntax ids
-//	..+2   checksum
-func encodeOffer(p Params, keyHalf uint64) []byte {
-	k := len(p.Syntaxes)
-	msg := make([]byte, 25+k)
-	msg[0] = typeOffer
-	msg[1] = p.StreamID
-	if p.Encrypt {
-		msg[2] |= 1
+// offer encodes the initiator's proposal.
+func offer(p Params, keyHalf uint64) []byte {
+	o := wire.Offer{
+		Stream:  p.StreamID,
+		Encrypt: p.Encrypt,
+		Policy:  byte(p.Policy),
+		MTU:     uint16(p.MTU),
+		FEC:     uint16(p.FECGroup),
+		Rate:    uint64(p.RateBps),
+		KeyHalf: keyHalf,
 	}
-	msg[3] = byte(p.Policy)
-	binary.BigEndian.PutUint16(msg[4:6], uint16(p.MTU))
-	binary.BigEndian.PutUint16(msg[6:8], uint16(p.FECGroup))
-	binary.BigEndian.PutUint64(msg[8:16], uint64(p.RateBps))
-	binary.BigEndian.PutUint64(msg[16:24], keyHalf)
-	msg[24] = byte(k)
-	for i, s := range p.Syntaxes {
-		msg[25+i] = byte(s)
+	for _, s := range p.Syntaxes {
+		o.Syntaxes = append(o.Syntaxes, byte(s))
 	}
-	return seal(msg)
+	return wire.EncodeOffer(o)
 }
 
-func parseOffer(pkt []byte) (Params, uint64, error) {
-	var p Params
-	if len(pkt) < sealedLen(26) || pkt[0] != typeOffer || !verify(pkt) {
-		return p, 0, fmt.Errorf("%w: offer", ErrBadMessage)
-	}
-	k := int(pkt[24])
-	if len(pkt) != sealedLen(25+k) {
-		return p, 0, fmt.Errorf("%w: offer length", ErrBadMessage)
-	}
-	p.StreamID = pkt[1]
-	p.Encrypt = pkt[2]&1 != 0
-	p.Policy = alf.Policy(pkt[3])
-	p.MTU = int(binary.BigEndian.Uint16(pkt[4:6]))
-	p.FECGroup = int(binary.BigEndian.Uint16(pkt[6:8]))
-	p.RateBps = float64(binary.BigEndian.Uint64(pkt[8:16]))
-	keyHalf := binary.BigEndian.Uint64(pkt[16:24])
-	for i := 0; i < k; i++ {
-		p.Syntaxes = append(p.Syntaxes, xcode.SyntaxID(pkt[25+i]))
-	}
-	return p, keyHalf, nil
-}
-
-// accept wire layout: type, stream, chosen syntax, responder key half,
-// checksum.
-func encodeAccept(stream byte, syntax xcode.SyntaxID, keyHalf uint64) []byte {
-	msg := make([]byte, 11)
-	msg[0] = typeAccept
-	msg[1] = stream
-	msg[2] = byte(syntax)
-	binary.BigEndian.PutUint64(msg[3:11], keyHalf)
-	return seal(msg)
-}
-
-func parseAccept(pkt []byte) (stream byte, syntax xcode.SyntaxID, keyHalf uint64, err error) {
-	if len(pkt) != sealedLen(11) || pkt[0] != typeAccept || !verify(pkt) {
-		return 0, 0, 0, fmt.Errorf("%w: accept", ErrBadMessage)
-	}
-	return pkt[1], xcode.SyntaxID(pkt[2]), binary.BigEndian.Uint64(pkt[3:11]), nil
-}
-
-func encodeReject(stream byte, reason byte) []byte {
-	msg := make([]byte, 3)
-	msg[0] = typeReject
-	msg[1] = stream
-	msg[2] = reason
-	return seal(msg)
-}
-
-func parseReject(pkt []byte) (stream byte, reason byte, err error) {
-	if len(pkt) != sealedLen(3) || pkt[0] != typeReject || !verify(pkt) {
-		return 0, 0, fmt.Errorf("%w: reject", ErrBadMessage)
-	}
-	return pkt[1], pkt[2], nil
-}
-
-// seal pads body to even length (the 16-bit one's-complement check
-// must sit word-aligned) and appends the checksum.
-func seal(body []byte) []byte {
-	if len(body)%2 == 1 {
-		body = append(body, 0)
-	}
-	body = append(body, 0, 0)
-	ck := checksum.Sum16(body[:len(body)-2])
-	binary.BigEndian.PutUint16(body[len(body)-2:], ck)
-	return body
-}
-
-// sealedLen returns the wire length of a body of n bytes after seal.
-func sealedLen(n int) int { return n + n%2 + 2 }
-
-func verify(msg []byte) bool { return checksum.Verify16(msg) }
-
-// MessageType reports whether pkt is a session-plane message (10-12)
-// or not (0), for node demultiplexers.
+// MessageType reports whether pkt is a session-plane message
+// (wire.TypeOffer through wire.TypeReject) or not (0), for node
+// demultiplexers.
 func MessageType(pkt []byte) int {
-	if len(pkt) > 0 && pkt[0] >= typeOffer && pkt[0] <= typeReject {
-		return int(pkt[0])
+	if t := wire.Type(pkt); t >= wire.TypeOffer {
+		return int(t)
 	}
 	return 0
 }
@@ -261,7 +166,7 @@ func (i *Initiator) Open(p Params) error {
 	}
 	i.params = p
 	i.keyHalf = i.rnd.Uint64()
-	i.offer = encodeOffer(p, i.keyHalf)
+	i.offer = offer(p, i.keyHalf)
 	i.active = true
 	i.tries = 0
 	i.retry()
@@ -296,14 +201,15 @@ func (i *Initiator) Handle(pkt []byte) error {
 		return nil // late duplicates are harmless
 	}
 	switch MessageType(pkt) {
-	case typeAccept:
-		stream, syntax, theirHalf, err := parseAccept(pkt)
+	case wire.TypeAccept:
+		acc, err := wire.ParseAccept(pkt)
 		if err != nil {
-			return err
+			return fmt.Errorf("%w: %v", ErrBadMessage, err)
 		}
-		if stream != i.params.StreamID {
+		if acc.Stream != i.params.StreamID {
 			return nil
 		}
+		syntax := xcode.SyntaxID(acc.Syntax)
 		supported := false
 		for _, s := range i.params.Syntaxes {
 			if s == syntax {
@@ -319,21 +225,21 @@ func (i *Initiator) Handle(pkt []byte) error {
 		i.timer.Stop()
 		res := Result{Params: i.params, Syntax: syntax}
 		if i.params.Encrypt {
-			res.Key = combineKey(i.keyHalf, theirHalf)
+			res.Key = combineKey(i.keyHalf, acc.KeyHalf)
 		}
 		if i.OnEstablished != nil {
 			i.OnEstablished(res)
 		}
 		return nil
-	case typeReject:
-		stream, reason, err := parseReject(pkt)
+	case wire.TypeReject:
+		rej, err := wire.ParseReject(pkt)
 		if err != nil {
-			return err
+			return fmt.Errorf("%w: %v", ErrBadMessage, err)
 		}
-		if stream != i.params.StreamID {
+		if rej.Stream != i.params.StreamID {
 			return nil
 		}
-		i.fail(fmt.Errorf("%w: reason %d", ErrRejected, reason))
+		i.fail(fmt.Errorf("%w: reason %d", ErrRejected, rej.Reason))
 		return nil
 	default:
 		return fmt.Errorf("%w: type %d", ErrState, MessageType(pkt))
@@ -383,12 +289,17 @@ func NewResponder(sched *sim.Scheduler, rnd *sim.Rand, send func([]byte) error, 
 
 // Handle processes one arriving session-plane packet.
 func (r *Responder) Handle(pkt []byte) error {
-	if MessageType(pkt) != typeOffer {
+	if MessageType(pkt) != wire.TypeOffer {
 		return fmt.Errorf("%w: type %d", ErrState, MessageType(pkt))
 	}
-	p, theirHalf, err := parseOffer(pkt)
+	o, err := wire.ParseOffer(pkt)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %v", ErrBadMessage, err)
+	}
+	p := Params{StreamID: o.Stream, Encrypt: o.Encrypt, Policy: alf.Policy(o.Policy),
+		MTU: int(o.MTU), FECGroup: int(o.FEC), RateBps: float64(o.Rate)}
+	for _, s := range o.Syntaxes {
+		p.Syntaxes = append(p.Syntaxes, xcode.SyntaxID(s))
 	}
 	if st, dup := r.established[p.StreamID]; dup {
 		// Retransmitted OFFER: repeat the identical ACCEPT.
@@ -397,7 +308,7 @@ func (r *Responder) Handle(pkt []byte) error {
 	}
 	if r.Screen != nil {
 		if reason := r.Screen(p); reason != 0 {
-			_ = r.send(encodeReject(p.StreamID, reason))
+			_ = r.send(wire.EncodeReject(wire.Reject{Stream: p.StreamID, Reason: reason}))
 			return nil
 		}
 	}
@@ -414,15 +325,15 @@ func (r *Responder) Handle(pkt []byte) error {
 		}
 	}
 	if chosen == 0 {
-		_ = r.send(encodeReject(p.StreamID, ReasonNoCommonSyntax))
+		_ = r.send(wire.EncodeReject(wire.Reject{Stream: p.StreamID, Reason: ReasonNoCommonSyntax}))
 		return nil
 	}
 	myHalf := r.rnd.Uint64()
 	res := Result{Params: p, Syntax: chosen}
 	if p.Encrypt {
-		res.Key = combineKey(theirHalf, myHalf)
+		res.Key = combineKey(o.KeyHalf, myHalf)
 	}
-	st := &respState{accept: encodeAccept(p.StreamID, chosen, myHalf), result: res}
+	st := &respState{accept: wire.EncodeAccept(wire.Accept{Stream: p.StreamID, Syntax: byte(chosen), KeyHalf: myHalf}), result: res}
 	r.established[p.StreamID] = st
 	_ = r.send(st.accept)
 	if r.OnEstablished != nil {

@@ -11,6 +11,7 @@ import (
 	alf "repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/xcode"
 )
 
@@ -191,28 +192,34 @@ func TestOpenNeedsSyntaxes(t *testing.T) {
 }
 
 func TestMessageCorruptionRejected(t *testing.T) {
-	offer := encodeOffer(Params{StreamID: 1, Syntaxes: allSyntaxes()}, 42)
-	offer[5] ^= 1
-	if _, _, err := parseOffer(offer); !errors.Is(err, ErrBadMessage) {
+	s := sim.NewScheduler()
+	nop := func([]byte) error { return nil }
+	o := offer(Params{StreamID: 1, Syntaxes: allSyntaxes()}, 42)
+	o[5] ^= 1
+	if err := NewResponder(s, sim.NewRand(1), nop, allSyntaxes()).Handle(o); !errors.Is(err, ErrBadMessage) {
 		t.Errorf("corrupt offer err = %v", err)
 	}
-	acc := encodeAccept(1, xcode.SyntaxBER, 7)
+	in := NewInitiator(s, sim.NewRand(2), nop)
+	if err := in.Open(Params{StreamID: 1, Syntaxes: allSyntaxes()}); err != nil {
+		t.Fatal(err)
+	}
+	acc := wire.EncodeAccept(wire.Accept{Stream: 1, Syntax: byte(xcode.SyntaxBER), KeyHalf: 7})
 	acc[3] ^= 1
-	if _, _, _, err := parseAccept(acc); !errors.Is(err, ErrBadMessage) {
+	if err := in.Handle(acc); !errors.Is(err, ErrBadMessage) {
 		t.Errorf("corrupt accept err = %v", err)
 	}
-	rej := encodeReject(1, ReasonRefused)
+	rej := wire.EncodeReject(wire.Reject{Stream: 1, Reason: ReasonRefused})
 	rej[2] ^= 1
-	if _, _, err := parseReject(rej); !errors.Is(err, ErrBadMessage) {
+	if err := in.Handle(rej); !errors.Is(err, ErrBadMessage) {
 		t.Errorf("corrupt reject err = %v", err)
 	}
 }
 
 func TestMessageType(t *testing.T) {
-	if MessageType(encodeOffer(Params{StreamID: 1, Syntaxes: allSyntaxes()}, 1)) != typeOffer {
+	if MessageType(offer(Params{StreamID: 1, Syntaxes: allSyntaxes()}, 1)) != wire.TypeOffer {
 		t.Error("offer type")
 	}
-	if MessageType(encodeAccept(1, 1, 1)) != typeAccept {
+	if MessageType(wire.EncodeAccept(wire.Accept{Stream: 1, Syntax: 1, KeyHalf: 1})) != wire.TypeAccept {
 		t.Error("accept type")
 	}
 	if MessageType([]byte{1, 2, 3}) != 0 || MessageType(nil) != 0 {
@@ -333,10 +340,10 @@ func TestResponderAnswersDuplicateOfferIdentically(t *testing.T) {
 		replies = append(replies, append([]byte(nil), p...))
 		return nil
 	}, allSyntaxes())
-	offer := encodeOffer(Params{StreamID: 4, Syntaxes: allSyntaxes(), Encrypt: true}, 77)
-	r.Handle(offer)
-	r.Handle(offer)
-	r.Handle(offer)
+	o := offer(Params{StreamID: 4, Syntaxes: allSyntaxes(), Encrypt: true}, 77)
+	r.Handle(o)
+	r.Handle(o)
+	r.Handle(o)
 	if len(replies) != 3 {
 		t.Fatalf("replies = %d", len(replies))
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"repro/internal/wire"
 )
 
 // Perfetto / chrome://tracing export: the legacy Trace Event JSON
@@ -162,8 +164,8 @@ func (t *Tracer) WritePerfetto(w io.Writer) error {
 		switch e.Kind {
 		case NetDrop:
 			name = "drop:" + e.Cause
-			if e.Proto != "" {
-				name += " " + e.Proto
+			if e.Proto != wire.KindNone {
+				name += " " + e.Proto.String()
 			}
 		case NackTX:
 			name = fmt.Sprintf("nack %d", e.ADU)

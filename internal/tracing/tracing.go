@@ -7,17 +7,20 @@
 // loss to the head-of-line stall it opened on the ordered transport).
 //
 // Where internal/metrics answers "how much, in aggregate", tracing
-// answers "where did *this* ADU's nanoseconds go". internal/trace
-// stays what it is — the wire decoder that renders one packet as one
-// line; this package records structured events and reconstructs
-// timelines from them.
+// answers "where did *this* ADU's nanoseconds go". wire.Describe
+// renders one packet as one line; this package records structured
+// events and reconstructs timelines from them.
 //
 // # Cost when disabled
 //
 // Every recording method is safe on a nil *Tracer and returns after a
 // single nil-check branch, mirroring the internal/metrics contract: an
 // endpoint built without a tracer pays ~1 ns per event and allocates
-// nothing (see bench_test.go). Layers keep a *Tracer in their config
+// nothing (see bench_test.go). Each exported hook is only that check
+// plus a call to an outlined body (recordOn, or an unexported twin), so
+// the compiler inlines the check into every call site and a disabled
+// hook costs a compare, not a function call; `make lint` fails if a
+// hook in this file stops inlining. Layers keep a *Tracer in their config
 // (alf.Config.Tracer, otp.Config.Tracer, netsim.Network.SetTracer,
 // faults.Injector.SetTracer); nil means off.
 //
@@ -50,6 +53,7 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // Kind discriminates trace events.
@@ -187,14 +191,14 @@ func (k Kind) String() string {
 type Event struct {
 	At    sim.Time
 	Kind  Kind
-	Track string // "alf/snd/3", "alf/rcv/3", "otp/1", "net/a->b/0", "faults"
-	ID    byte   // stream id (ALF) or connection id (OTP)
-	ADU   uint64 // ADU name (ALF) or message index (OTP MsgSubmit)
-	Tag   uint64 // application tag (ADUSubmit only)
-	Off   int64  // fragment offset (ALF) or stream offset (OTP)
-	Len   int    // fragment/segment/ADU payload length
-	Cause string // drop cause, fault kind
-	Proto string // sniffed payload class on net events: alf-data, alf-ctrl, alf-hb, otp-data, otp-ack
+	Track string    // "alf/snd/3", "alf/rcv/3", "otp/1", "net/a->b/0", "faults"
+	ID    byte      // stream id (ALF) or connection id (OTP)
+	ADU   uint64    // ADU name (ALF) or message index (OTP MsgSubmit)
+	Tag   uint64    // application tag (ADUSubmit only)
+	Off   int64     // fragment offset (ALF) or stream offset (OTP)
+	Len   int       // fragment/segment/ADU payload length
+	Cause string    // drop cause, fault kind
+	Proto wire.Kind // sniffed payload class on net events
 	Dur   sim.Duration
 	Dur2  sim.Duration
 	Flow  uint64 // non-zero: causal flow id shared by linked events
@@ -321,6 +325,17 @@ func (t *Tracer) record(e Event) {
 	t.events = append(t.events, e)
 }
 
+// recordOn records e on the interned track prefix+e.ID. It is the
+// outlined body of the one-event hooks, which keeps each of them a
+// nil check and a call: small enough to inline. An event that record
+// will discard skips the track lookup, so a full tracer stays cheap.
+func (t *Tracer) recordOn(prefix string, e Event) {
+	if t.sched != nil && len(t.events) < t.limit {
+		e.Track = t.track(prefix, e.ID)
+	}
+	t.record(e)
+}
+
 // track interns a formatted track name so steady-state recording does
 // not re-format (or re-allocate) per event.
 func (t *Tracer) track(prefix string, id byte) string {
@@ -343,20 +358,21 @@ func (t *Tracer) flow() uint64 {
 
 // ADUSubmitted records the application handing an ADU to the sender.
 func (t *Tracer) ADUSubmitted(stream byte, name, tag uint64, size int) {
-	if t == nil {
-		return
+	if t != nil {
+		t.recordOn("alf/snd/", Event{Kind: ADUSubmit, ID: stream, ADU: name, Tag: tag, Len: size})
 	}
-	t.record(Event{Kind: ADUSubmit, Track: t.track("alf/snd/", stream),
-		ID: stream, ADU: name, Tag: tag, Len: size})
 }
 
 // FragmentSent records one fragment handed to the wire. wait is the
 // pacer delay between framing and the actual handoff. Retransmissions
 // attach the flow of the NACK that provoked them, when one is pending.
 func (t *Tracer) FragmentSent(stream byte, name uint64, off, n int, retx, parity bool, wait sim.Duration) {
-	if t == nil {
-		return
+	if t != nil {
+		t.fragmentSent(stream, name, off, n, retx, parity, wait)
 	}
+}
+
+func (t *Tracer) fragmentSent(stream byte, name uint64, off, n int, retx, parity bool, wait sim.Duration) {
 	kind := FragTX
 	var flow uint64
 	switch {
@@ -366,26 +382,26 @@ func (t *Tracer) FragmentSent(stream byte, name uint64, off, n int, retx, parity
 		kind = FragRetx
 		flow = t.pendingNack[nackKey{stream, name}]
 	}
-	t.record(Event{Kind: kind, Track: t.track("alf/snd/", stream),
-		ID: stream, ADU: name, Off: int64(off), Len: n, Dur: wait, Flow: flow})
+	t.recordOn("alf/snd/", Event{Kind: kind, ID: stream, ADU: name, Off: int64(off), Len: n, Dur: wait, Flow: flow})
 }
 
 // HeartbeatSent records a stream-extent declaration.
 func (t *Tracer) HeartbeatSent(stream byte, next uint64) {
-	if t == nil {
-		return
+	if t != nil {
+		t.recordOn("alf/snd/", Event{Kind: HeartbeatTX, ID: stream, ADU: next})
 	}
-	t.record(Event{Kind: HeartbeatTX, Track: t.track("alf/snd/", stream),
-		ID: stream, ADU: next})
 }
 
 // FragmentReceived records a fragment accepted into reassembly. A
 // fragment answering a pending NACK closes (consumes) that flow so the
 // causal arrow runs NACK → retransmission → arrival.
 func (t *Tracer) FragmentReceived(stream byte, name uint64, off, n int, parity bool) {
-	if t == nil {
-		return
+	if t != nil {
+		t.fragmentReceived(stream, name, off, n, parity)
 	}
+}
+
+func (t *Tracer) fragmentReceived(stream byte, name uint64, off, n int, parity bool) {
 	kind := FragRX
 	if parity {
 		kind = ParityRX
@@ -401,46 +417,41 @@ func (t *Tracer) FragmentReceived(stream byte, name uint64, off, n int, parity b
 
 // ADUChecksumFailed records a completed ADU discarded on verification.
 func (t *Tracer) ADUChecksumFailed(stream byte, name uint64) {
-	if t == nil {
-		return
+	if t != nil {
+		t.recordOn("alf/rcv/", Event{Kind: ChecksumFail, ID: stream, ADU: name})
 	}
-	t.record(Event{Kind: ChecksumFail, Track: t.track("alf/rcv/", stream),
-		ID: stream, ADU: name})
 }
 
 // ADUDelivered records a verified ADU handed to the application.
 func (t *Tracer) ADUDelivered(stream byte, name uint64, size int) {
-	if t == nil {
-		return
+	if t != nil {
+		t.recordOn("alf/rcv/", Event{Kind: ADUDeliver, ID: stream, ADU: name, Len: size})
 	}
-	t.record(Event{Kind: ADUDeliver, Track: t.track("alf/rcv/", stream),
-		ID: stream, ADU: name, Len: size})
 }
 
 // ADULost records the receiver abandoning an ADU.
 func (t *Tracer) ADULost(stream byte, name uint64) {
-	if t == nil {
-		return
+	if t != nil {
+		t.recordOn("alf/rcv/", Event{Kind: ADULoss, ID: stream, ADU: name})
 	}
-	t.record(Event{Kind: ADULoss, Track: t.track("alf/rcv/", stream),
-		ID: stream, ADU: name})
 }
 
 // ADUExpired records the sender shedding retention past ADUDeadline.
 func (t *Tracer) ADUExpired(stream byte, name uint64) {
-	if t == nil {
-		return
+	if t != nil {
+		t.recordOn("alf/snd/", Event{Kind: ADUExpire, ID: stream, ADU: name})
 	}
-	t.record(Event{Kind: ADUExpire, Track: t.track("alf/snd/", stream),
-		ID: stream, ADU: name})
 }
 
 // NacksSent records one recovery request per named ADU and opens a
 // causal flow each, to be attached by the retransmission it provokes.
 func (t *Tracer) NacksSent(stream byte, names []uint64) {
-	if t == nil {
-		return
+	if t != nil {
+		t.nacksSent(stream, names)
 	}
+}
+
+func (t *Tracer) nacksSent(stream byte, names []uint64) {
 	for _, name := range names {
 		f := t.flow()
 		t.pendingNack[nackKey{stream, name}] = f
@@ -453,31 +464,25 @@ func (t *Tracer) NacksSent(stream byte, names []uint64) {
 // sender was overloaded. name is the name the ADU would have been
 // assigned (it consumes none).
 func (t *Tracer) ADUShed(stream byte, name, tag uint64, size int) {
-	if t == nil {
-		return
+	if t != nil {
+		t.recordOn("alf/snd/", Event{Kind: ADUShed, ID: stream, ADU: name, Tag: tag, Len: size})
 	}
-	t.record(Event{Kind: ADUShed, Track: t.track("alf/snd/", stream),
-		ID: stream, ADU: name, Tag: tag, Len: size})
 }
 
 // FeedbackSent records the receiver emitting delivery report seq with
 // wireBytes cumulative wire volume accepted.
 func (t *Tracer) FeedbackSent(stream byte, seq uint32, wireBytes int64) {
-	if t == nil {
-		return
+	if t != nil {
+		t.recordOn("alf/rcv/", Event{Kind: FeedbackTX, ID: stream, ADU: uint64(seq), Off: wireBytes})
 	}
-	t.record(Event{Kind: FeedbackTX, Track: t.track("alf/rcv/", stream),
-		ID: stream, ADU: uint64(seq), Off: wireBytes})
 }
 
 // RateChanged records a controller-driven pacing change from oldBps to
 // newBps (Off and Len respectively, in bits/s).
 func (t *Tracer) RateChanged(stream byte, oldBps, newBps float64) {
-	if t == nil {
-		return
+	if t != nil {
+		t.recordOn("alf/snd/", Event{Kind: RateChange, ID: stream, Off: int64(oldBps), Len: int(newBps)})
 	}
-	t.record(Event{Kind: RateChange, Track: t.track("alf/snd/", stream),
-		ID: stream, Off: int64(oldBps), Len: int(newBps)})
 }
 
 // ---- Custody-relay hooks -----------------------------------------------
@@ -485,62 +490,55 @@ func (t *Tracer) RateChanged(stream byte, oldBps, newBps float64) {
 // CustodyStored records a relay taking custody of a complete ADU of
 // size payload bytes. relay names the custody node's track.
 func (t *Tracer) CustodyStored(relay string, stream byte, name uint64, size int) {
-	if t == nil {
-		return
+	if t != nil {
+		t.record(Event{Kind: CustodyStore, Track: "relay/" + relay,
+			ID: stream, ADU: name, Len: size})
 	}
-	t.record(Event{Kind: CustodyStore, Track: "relay/" + relay,
-		ID: stream, ADU: name, Len: size})
 }
 
 // CustodyAckSent records a relay acknowledging custody upstream: cum
 // is the custody frontier and n the count of out-of-order names in the
 // frame.
 func (t *Tracer) CustodyAckSent(relay string, stream byte, cum uint64, n int) {
-	if t == nil {
-		return
+	if t != nil {
+		t.record(Event{Kind: CustodyAckTX, Track: "relay/" + relay,
+			ID: stream, ADU: cum, Len: n})
 	}
-	t.record(Event{Kind: CustodyAckTX, Track: "relay/" + relay,
-		ID: stream, ADU: cum, Len: n})
 }
 
 // CustodyReleased records the upstream custodian (the original sender)
 // freeing its retained copy of an ADU on a custody ack from relay id.
 func (t *Tracer) CustodyReleased(stream, relay byte, name uint64) {
-	if t == nil {
-		return
+	if t != nil {
+		t.recordOn("alf/snd/", Event{Kind: CustodyRelease, ID: stream, ADU: name, Off: int64(relay)})
 	}
-	t.record(Event{Kind: CustodyRelease, Track: t.track("alf/snd/", stream),
-		ID: stream, ADU: name, Off: int64(relay)})
 }
 
 // CustodyEvicted records a relay evicting a stored non-Critical ADU to
 // make room.
 func (t *Tracer) CustodyEvicted(relay string, stream byte, name uint64, size int) {
-	if t == nil {
-		return
+	if t != nil {
+		t.record(Event{Kind: CustodyEvict, Track: "relay/" + relay,
+			ID: stream, ADU: name, Len: size})
 	}
-	t.record(Event{Kind: CustodyEvict, Track: "relay/" + relay,
-		ID: stream, ADU: name, Len: size})
 }
 
 // CustodyShedded records a relay refusing custody of an arriving ADU
 // because the store held only unevictable (Critical) data.
 func (t *Tracer) CustodyShedded(relay string, stream byte, name uint64, size int) {
-	if t == nil {
-		return
+	if t != nil {
+		t.record(Event{Kind: CustodyShed, Track: "relay/" + relay,
+			ID: stream, ADU: name, Len: size})
 	}
-	t.record(Event{Kind: CustodyShed, Track: "relay/" + relay,
-		ID: stream, ADU: name, Len: size})
 }
 
 // CustodyResent records a relay re-originating a custody ADU toward
 // the next hop (heal-triggered or periodic retry).
 func (t *Tracer) CustodyResent(relay string, stream byte, name uint64, frags int) {
-	if t == nil {
-		return
+	if t != nil {
+		t.record(Event{Kind: CustodyRetx, Track: "relay/" + relay,
+			ID: stream, ADU: name, Len: frags})
 	}
-	t.record(Event{Kind: CustodyRetx, Track: "relay/" + relay,
-		ID: stream, ADU: name, Len: frags})
 }
 
 // ---- OTP endpoint hooks ------------------------------------------------
@@ -550,18 +548,19 @@ func (t *Tracer) CustodyResent(relay string, stream byte, name uint64, frags int
 // the message begins. Messages are the OTP-side ADU equivalent the
 // analysis attributes stalls to.
 func (t *Tracer) MessageSubmitted(conn byte, index uint64, off int64, n int) {
-	if t == nil {
-		return
+	if t != nil {
+		t.recordOn("otp/", Event{Kind: MsgSubmit, ID: conn, ADU: index, Off: off, Len: n})
 	}
-	t.record(Event{Kind: MsgSubmit, Track: t.track("otp/", conn),
-		ID: conn, ADU: index, Off: off, Len: n})
 }
 
 // SegmentSent records a DATA segment transmission.
 func (t *Tracer) SegmentSent(conn byte, seq int64, n int, retx bool) {
-	if t == nil {
-		return
+	if t != nil {
+		t.segmentSent(conn, seq, n, retx)
 	}
+}
+
+func (t *Tracer) segmentSent(conn byte, seq int64, n int, retx bool) {
 	kind := SegTX
 	if retx {
 		kind = SegRetx
@@ -572,21 +571,17 @@ func (t *Tracer) SegmentSent(conn byte, seq int64, n int, retx bool) {
 
 // SegmentBuffered records a segment held behind a gap (out of order).
 func (t *Tracer) SegmentBuffered(conn byte, seq int64, n int) {
-	if t == nil {
-		return
+	if t != nil {
+		t.recordOn("otp/", Event{Kind: SegOOO, ID: conn, Off: seq, Len: n})
 	}
-	t.record(Event{Kind: SegOOO, Track: t.track("otp/", conn),
-		ID: conn, Off: seq, Len: n})
 }
 
 // SegmentDelivered records in-order delivery advancing from oldNxt by
 // n bytes.
 func (t *Tracer) SegmentDelivered(conn byte, oldNxt int64, n int) {
-	if t == nil {
-		return
+	if t != nil {
+		t.recordOn("otp/", Event{Kind: SegDeliver, ID: conn, Off: oldNxt, Len: n})
 	}
-	t.record(Event{Kind: SegDeliver, Track: t.track("otp/", conn),
-		ID: conn, Off: oldNxt, Len: n})
 }
 
 // StallOpened records a head-of-line stall opening: the stream is
@@ -595,9 +590,12 @@ func (t *Tracer) SegmentDelivered(conn byte, oldNxt int64, n int) {
 // sniffed drop covers the blocked offset, its flow is attached: the
 // loss caused this stall.
 func (t *Tracer) StallOpened(conn byte, blockedAt int64) {
-	if t == nil {
-		return
+	if t != nil {
+		t.stallOpened(conn, blockedAt)
 	}
+}
+
+func (t *Tracer) stallOpened(conn byte, blockedAt int64) {
 	var flow uint64
 	if d := t.pendingDrop[conn]; d != nil && d.off <= blockedAt && blockedAt < d.end {
 		flow = d.flow
@@ -609,11 +607,9 @@ func (t *Tracer) StallOpened(conn byte, blockedAt int64) {
 
 // StallClosed records the stall ending after dur.
 func (t *Tracer) StallClosed(conn byte, dur sim.Duration) {
-	if t == nil {
-		return
+	if t != nil {
+		t.recordOn("otp/", Event{Kind: StallClose, ID: conn, Dur: dur})
 	}
-	t.record(Event{Kind: StallClose, Track: t.track("otp/", conn),
-		ID: conn, Dur: dur})
 }
 
 // ---- Network hooks (internal/netsim) -----------------------------------
@@ -622,23 +618,17 @@ func (t *Tracer) StallClosed(conn byte, dur sim.Duration) {
 // qwait is the time it will wait behind earlier packets, ser its own
 // serialization time. The payload is sniffed for ADU identity.
 func (t *Tracer) PacketQueued(link string, payload []byte, qwait, ser sim.Duration) {
-	if t == nil {
-		return
+	if t != nil {
+		t.recordNet(Event{Kind: NetQueue, Track: link, Dur: qwait, Dur2: ser}, payload)
 	}
-	e := Event{Kind: NetQueue, Track: link, Dur: qwait, Dur2: ser, Len: len(payload)}
-	sniffInto(&e, payload)
-	t.record(e)
 }
 
 // PacketDelivered records a packet handed to its destination node after
 // prop of propagation (including any reorder holdback).
 func (t *Tracer) PacketDelivered(link string, payload []byte, prop sim.Duration) {
-	if t == nil {
-		return
+	if t != nil {
+		t.recordNet(Event{Kind: NetDeliver, Track: link, Dur: prop}, payload)
 	}
-	e := Event{Kind: NetDeliver, Track: link, Dur: prop, Len: len(payload)}
-	sniffInto(&e, payload)
-	t.record(e)
 }
 
 // PacketDropped records a drop with its cause ("queue", "line",
@@ -646,10 +636,13 @@ func (t *Tracer) PacketDelivered(link string, payload []byte, prop sim.Duration)
 // window's flow; a dropped OTP data segment is remembered so the stall
 // it opens can be linked back to it.
 func (t *Tracer) PacketDropped(link, cause string, payload []byte) {
-	if t == nil {
-		return
+	if t != nil {
+		t.packetDropped(link, cause, payload)
 	}
-	e := Event{Kind: NetDrop, Track: link, Cause: cause, Len: len(payload)}
+}
+
+func (t *Tracer) packetDropped(link, cause string, payload []byte) {
+	e := Event{Kind: NetDrop, Track: link, Cause: cause}
 	ref := sniffInto(&e, payload)
 	if cause == "down" {
 		for i := len(t.faults) - 1; i >= 0; i-- {
@@ -659,7 +652,7 @@ func (t *Tracer) PacketDropped(link, cause string, payload []byte) {
 			}
 		}
 	}
-	if ref == refOTPData {
+	if ref == wire.KindSegData {
 		flow := e.Flow
 		if flow == 0 {
 			flow = t.flow()
@@ -679,6 +672,10 @@ func (t *Tracer) FaultBegan(kind string, links []string) uint64 {
 	if t == nil {
 		return 0
 	}
+	return t.faultBegan(kind, links)
+}
+
+func (t *Tracer) faultBegan(kind string, links []string) uint64 {
 	w := &faultWindow{flow: t.flow(), kind: kind, links: make(map[string]bool, len(links)), active: true}
 	for _, l := range links {
 		w.links[l] = true
@@ -690,9 +687,12 @@ func (t *Tracer) FaultBegan(kind string, links []string) uint64 {
 
 // FaultEnded records the window identified by flow closing.
 func (t *Tracer) FaultEnded(flow uint64) {
-	if t == nil {
-		return
+	if t != nil {
+		t.faultEnded(flow)
 	}
+}
+
+func (t *Tracer) faultEnded(flow uint64) {
 	for _, w := range t.faults {
 		if w.flow == flow && w.active {
 			w.active = false
