@@ -48,8 +48,9 @@ bench-flows:
 	$(GO) test -run '^$$' -bench 'FlowScale' -benchtime 1x -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_0006.json
 
 # Native fuzzers over the wire formats: the endpoints' packet handlers,
-# the codec's parse/encode round trip over every layout, and the packet
-# printer. The budget is deliberately small so check stays fast; raise
+# the codec's parse/encode round trip over every layout, the packet
+# printer, and a custody relay's ingress from both directions (no
+# panic, store never past StorageLimit). The budget is deliberately small so check stays fast; raise
 # FUZZTIME for a real session.
 FUZZTIME ?= 5s
 fuzz:
@@ -58,6 +59,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleCustody$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzWireRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDescribe$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzRelayIngress$$' -fuzztime $(FUZZTIME) ./internal/relay
 
 # One seeded chaos pass: every scenario x policy plus the blackout
 # shed/report assertions, and the overload family (closed-loop passes,
@@ -78,9 +80,10 @@ soak-dtn:
 	$(GO) test -count=1 -run 'TestDTN' -v ./internal/faults/soak
 
 # The real-socket soak: authenticated ADU transfer across kernel
-# loopback UDP with deterministic send-side drops, asserting the same
-# exactly-once / intact / drained invariants as `make soak` — plus the
-# plain link round-trip and lossy-conn determinism checks.
+# loopback UDP with deterministic send-side drops, checked through the
+# same internal/invariant ledger and quiescence check as `make soak`
+# (exactly once, intact, drained; here every ADU must arrive) — plus
+# the plain link round-trip and lossy-conn determinism checks.
 soak-udp:
 	$(GO) test -count=1 -v ./internal/udplink
 

@@ -44,12 +44,14 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	alf "repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/faults/soak"
+	"repro/internal/invariant"
 	"repro/internal/metrics"
 	"repro/internal/telemetry"
 	"repro/internal/tracing"
@@ -87,24 +89,27 @@ func attachFlightRec(horizon time.Duration, dets []telemetry.Detector) *telemetr
 	return soak.RecorderFor(horizon, dets...)
 }
 
-// finishFlightRec prints the incident timeline and writes the
-// black-box JSON dump — the same artifact a failing CI soak leaves
-// behind, here available on demand for passing runs too.
-func finishFlightRec(rec *telemetry.Recorder) int {
-	if rec == nil {
-		return 0
+// finish prints the incident timeline and writes the black-box JSON
+// dump (with -flightrec) — the same artifact a failing CI soak leaves
+// behind, here available on demand for passing runs too — then maps
+// the run's verdict to the exit status.
+func finish(rec *telemetry.Recorder, v *invariant.Verdict) int {
+	if rec != nil {
+		fmt.Println()
+		if err := rec.WriteIncidents(os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "alfchaos: %v\n", err)
+			return 2
+		}
+		if err := rec.WriteDumpFile(*flagFlightRec); err != nil {
+			fmt.Fprintf(os.Stderr, "alfchaos: %v\n", err)
+			return 2
+		}
+		fmt.Printf("flight record (%d ticks, %d incidents) written to %s\n",
+			rec.Ticks(), len(rec.Incidents()), *flagFlightRec)
 	}
-	fmt.Println()
-	if err := rec.WriteIncidents(os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "alfchaos: %v\n", err)
-		return 2
+	if !v.Passed() {
+		return 1
 	}
-	if err := rec.WriteDumpFile(*flagFlightRec); err != nil {
-		fmt.Fprintf(os.Stderr, "alfchaos: %v\n", err)
-		return 2
-	}
-	fmt.Printf("flight record (%d ticks, %d incidents) written to %s\n",
-		rec.Ticks(), len(rec.Incidents()), *flagFlightRec)
 	return 0
 }
 
@@ -176,12 +181,9 @@ func runOne(scenario, policyName string, verbose bool) int {
 	}
 
 	printSummary(res)
-	if verbose && *flagTree {
-		fmt.Println()
-		if err := reg.Snapshot().WriteText(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "alfchaos: %v\n", err)
-			return 2
-		}
+	if err := printTree(reg, verbose); err != nil {
+		fmt.Fprintf(os.Stderr, "alfchaos: %v\n", err)
+		return 2
 	}
 	if tracer != nil {
 		if err := dumpTrace(tracer, res); err != nil {
@@ -189,26 +191,14 @@ func runOne(scenario, policyName string, verbose bool) int {
 			return 2
 		}
 	}
-	if code := finishFlightRec(rec); code != 0 {
-		return code
-	}
-	if !res.Passed() {
-		return 1
-	}
-	return 0
+	return finish(rec, &res.Verdict)
 }
 
 // runOverload executes one overload scenario (congestion, not faults)
 // and prints its no-collapse report. verbose additionally prints the
 // metric tree (if -tree).
 func runOverload(shape, mode string, verbose bool) int {
-	ok := false
-	for _, s := range soak.OverloadShapes {
-		if s == shape {
-			ok = true
-		}
-	}
-	if !ok {
+	if !slices.Contains(soak.OverloadShapes, shape) {
 		fmt.Fprintf(os.Stderr, "alfchaos: unknown overload shape %q (want steady, burst, flash)\n", shape)
 		return 2
 	}
@@ -241,38 +231,17 @@ func runOverload(shape, mode string, verbose bool) int {
 	}
 
 	printOverloadSummary(res)
-	if verbose && *flagTree {
-		fmt.Println()
-		if err := reg.Snapshot().WriteText(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "alfchaos: %v\n", err)
-			return 2
-		}
+	if err := printTree(reg, verbose); err != nil {
+		fmt.Fprintf(os.Stderr, "alfchaos: %v\n", err)
+		return 2
 	}
 	if tracer != nil {
-		f, err := os.Create(*flagTrace)
-		if err != nil {
+		if err := writePerfetto(tracer); err != nil {
 			fmt.Fprintf(os.Stderr, "alfchaos: %v\n", err)
 			return 2
 		}
-		if err := tracer.WritePerfetto(f); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "alfchaos: %v\n", err)
-			return 2
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "alfchaos: %v\n", err)
-			return 2
-		}
-		fmt.Printf("\nperfetto trace (%d events, %d dropped) written to %s\n",
-			tracer.Len(), tracer.Dropped, *flagTrace)
 	}
-	if code := finishFlightRec(rec); code != 0 {
-		return code
-	}
-	if !res.Passed() {
-		return 1
-	}
-	return 0
+	return finish(rec, &res.Verdict)
 }
 
 // runOverloadAll sweeps every arrival shape under both sender stances,
@@ -315,32 +284,14 @@ func printOverloadSummary(res *soak.OverloadResult) {
 	}
 	fmt.Printf("drain: quiescent at %v after %d post-horizon events\n",
 		res.EndVirtual, res.DrainEvents)
-	if res.Passed() {
-		fmt.Println("invariants: all held (goodput floor, Critical protection, exactly-once, clean drain)")
-		return
-	}
-	fmt.Printf("invariants: %d VIOLATED\n", len(res.Violations))
-	const maxPrint = 12
-	for i, v := range res.Violations {
-		if i == maxPrint {
-			fmt.Printf("  (… %d more)\n", len(res.Violations)-maxPrint)
-			break
-		}
-		fmt.Printf("  ! %s\n", v)
-	}
+	printVerdict(&res.Verdict, "goodput floor, Critical protection, exactly-once, clean drain")
 }
 
 // runDTN executes one DTN scenario (interplanetary delay, conjunction
 // blackouts) and prints its delay-tolerant invariant report. verbose
 // additionally prints the metric tree (if -tree).
 func runDTN(mode string, seed int64, verbose bool) int {
-	ok := false
-	for _, m := range soak.DTNModes {
-		if m == mode {
-			ok = true
-		}
-	}
-	if !ok {
+	if !slices.Contains(soak.DTNModes, mode) {
 		fmt.Fprintf(os.Stderr, "alfchaos: unknown dtn mode %q (want custody or aimd)\n", mode)
 		return 2
 	}
@@ -355,20 +306,11 @@ func runDTN(mode string, seed int64, verbose bool) int {
 		return 2
 	}
 	printDTNSummary(res)
-	if verbose && *flagTree {
-		fmt.Println()
-		if err := reg.Snapshot().WriteText(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "alfchaos: %v\n", err)
-			return 2
-		}
+	if err := printTree(reg, verbose); err != nil {
+		fmt.Fprintf(os.Stderr, "alfchaos: %v\n", err)
+		return 2
 	}
-	if code := finishFlightRec(rec); code != 0 {
-		return code
-	}
-	if !res.Passed() {
-		return 1
-	}
-	return 0
+	return finish(rec, &res.Verdict)
 }
 
 // runDTNAll sweeps both stances over three seeds, summary lines only,
@@ -446,19 +388,7 @@ func printDTNSummary(res *soak.DTNResult) {
 	}
 	fmt.Printf("drain: quiescent at %v after %d post-horizon events\n",
 		res.EndVirtual, res.DrainEvents)
-	if res.Passed() {
-		fmt.Println("invariants: all held (Critical exactly-once, bounded custody storage, clean drain)")
-		return
-	}
-	fmt.Printf("invariants: %d VIOLATED\n", len(res.Violations))
-	const maxPrint = 12
-	for i, v := range res.Violations {
-		if i == maxPrint {
-			fmt.Printf("  (… %d more)\n", len(res.Violations)-maxPrint)
-			break
-		}
-		fmt.Printf("  ! %s\n", v)
-	}
+	printVerdict(&res.Verdict, "Critical exactly-once, bounded custody storage, clean drain")
 }
 
 // runAll sweeps every preset against every policy, summary lines only.
@@ -498,14 +428,33 @@ func printSummary(res *soak.Result) {
 		res.OTPDelivered, res.OTPSent, dead, res.OTPTimeouts, res.OTPRetransmits)
 	fmt.Printf("drain: quiescent at %v after %d post-horizon events\n",
 		res.EndVirtual, res.DrainEvents)
+	printVerdict(&res.Verdict, "exactly-once accounting, no corruption, bounded state, clean drain")
+}
 
-	if res.Passed() {
-		fmt.Println("invariants: all held (exactly-once accounting, no corruption, bounded state, clean drain)")
+// printTree prints the unified metric tree of a verbose run (-tree).
+func printTree(reg *metrics.Registry, verbose bool) error {
+	if !verbose || !*flagTree {
+		return nil
+	}
+	fmt.Println()
+	return reg.Snapshot().WriteText(os.Stdout)
+}
+
+// printVerdict renders a run's invariant verdict: what held, or the
+// first dozen violations.
+func printVerdict(v *invariant.Verdict, held string) {
+	if v.Passed() {
+		fmt.Printf("invariants: all held (%s)\n", held)
 		return
 	}
-	fmt.Printf("invariants: %d VIOLATED\n", len(res.Violations))
-	for _, v := range res.Violations {
-		fmt.Printf("  ! %s\n", v)
+	fmt.Printf("invariants: %d VIOLATED\n", len(v.Violations))
+	const maxPrint = 12
+	for i, line := range v.Violations {
+		if i == maxPrint {
+			fmt.Printf("  (… %d more)\n", len(v.Violations)-maxPrint)
+			break
+		}
+		fmt.Printf("  ! %s\n", line)
 	}
 }
 
@@ -529,6 +478,11 @@ func dumpTrace(tracer *tracing.Tracer, res *soak.Result) error {
 			rep.WriteADU(os.Stdout, 0, name)
 		}
 	}
+	return writePerfetto(tracer)
+}
+
+// writePerfetto writes the recorded run as Perfetto JSON to -trace.
+func writePerfetto(tracer *tracing.Tracer) error {
 	f, err := os.Create(*flagTrace)
 	if err != nil {
 		return err

@@ -173,3 +173,49 @@ func TestHeartbeatLimitStillSilencesDeadPath(t *testing.T) {
 		t.Errorf("heartbeats = %d, want exactly HeartbeatLimit=5", sent)
 	}
 }
+
+// TestRetentionCallbacksInNameOrder: releases and expiries reach the
+// application oldest name first, whatever the run. Twenty ADUs leave
+// at one instant; a cumulative ack settles the first ten and the
+// deadline sheds the rest, and both callback sequences must ascend on
+// every repetition.
+func TestRetentionCallbacksInNameOrder(t *testing.T) {
+	const n, cum = 20, 10
+	for run := 0; run < 20; run++ {
+		s := sim.NewScheduler()
+		snd, err := NewSender(s, func([]byte) error { return nil }, Config{
+			ADUDeadline: 100 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var released, expired []uint64
+		snd.OnRelease = func(name uint64) { released = append(released, name) }
+		snd.OnExpire = func(name uint64) { expired = append(expired, name) }
+		for i := 0; i < n; i++ {
+			if _, err := snd.Send(uint64(i), xcode.SyntaxRaw, payload(300, byte(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := snd.HandleControl(wire.EncodeControl(wire.Control{Cum: cum})); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunUntil(sim.Time(0).Add(time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if len(released) != n || len(expired) != n-cum {
+			t.Fatalf("run %d: %d releases, %d expiries, want %d and %d",
+				run, len(released), len(expired), n, n-cum)
+		}
+		for i, name := range released {
+			if name != uint64(i) {
+				t.Fatalf("run %d: OnRelease order %v, want ascending", run, released)
+			}
+		}
+		for i, name := range expired {
+			if name != uint64(cum+i) {
+				t.Fatalf("run %d: OnExpire order %v, want ascending from %d", run, expired, cum)
+			}
+		}
+	}
+}

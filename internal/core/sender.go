@@ -103,8 +103,12 @@ type Sender struct {
 	// OnRelease follows for the same name.
 	OnExpire func(name uint64)
 
-	nextName  uint64
-	buffered  map[uint64]*savedADU
+	nextName uint64
+	buffered map[uint64]*savedADU
+	// bufLow is retention's low-water mark: no name below it is
+	// buffered. Releases and expiries walk up from it in name order,
+	// so OnRelease, OnExpire and the tracer see names ascending.
+	bufLow    uint64
 	bufBytes  int
 	pacerFree sim.Time
 
@@ -256,43 +260,53 @@ func (s *Sender) hbInterval() sim.Duration {
 }
 
 // onRetire sheds retention past the ADUDeadline and re-arms for the
-// next earliest expiry.
+// next earliest expiry. sentAt rises with the name, so retention
+// expires oldest name first: the walk stops at the first ADU not yet
+// due.
 func (s *Sender) onRetire() {
 	if s.cfg.ADUDeadline <= 0 {
 		return
 	}
 	now := s.sched.Now()
-	var next sim.Time = -1
-	for name, saved := range s.buffered {
+	for ; s.bufLow < s.nextName; s.bufLow++ {
+		name := s.bufLow
+		saved, ok := s.buffered[name]
+		if !ok {
+			continue
+		}
 		due := saved.sentAt.Add(s.cfg.ADUDeadline)
 		if due < saved.sentAt {
 			// sentAt + deadline wrapped past the int64 horizon: at
 			// hour-scale deadlines deep into a long run the sum can
 			// overflow, and a wrapped due would expire the ADU
-			// instantly. Treat it as never-due instead.
-			continue
+			// instantly. Treat it (and every later ADU) as never-due.
+			return
 		}
-		if due <= now {
-			s.bufBytes -= saved.wireLen
-			saved.release()
-			delete(s.buffered, name)
-			s.Stats.DeadlineDrops++
-			s.cfg.Tracer.ADUExpired(s.cfg.StreamID, name)
-			if s.OnExpire != nil {
-				s.OnExpire(name)
-			}
-			if s.OnRelease != nil {
-				s.OnRelease(name)
-			}
-			continue
+		if due > now {
+			s.retire.Reset(due.Sub(now))
+			return
 		}
-		if next < 0 || due < next {
-			next = due
+		s.take(name)
+		s.Stats.DeadlineDrops++
+		s.cfg.Tracer.ADUExpired(s.cfg.StreamID, name)
+		if s.OnExpire != nil {
+			s.OnExpire(name)
+		}
+		if s.OnRelease != nil {
+			s.OnRelease(name)
 		}
 	}
-	if next >= 0 {
-		s.retire.Reset(next.Sub(now))
+}
+
+// take ends retention of name, reporting whether it was retained.
+func (s *Sender) take(name uint64) bool {
+	saved, ok := s.buffered[name]
+	if ok {
+		s.bufBytes -= saved.wireLen
+		saved.release()
+		delete(s.buffered, name)
 	}
+	return ok
 }
 
 // Config returns the effective configuration.
@@ -695,12 +709,9 @@ func (s *Sender) HandleControl(pkt []byte) error {
 		s.hb.Stop()
 	}
 
-	// Release everything settled at the receiver.
-	for name, saved := range s.buffered {
-		if name < c.Cum {
-			s.bufBytes -= saved.wireLen
-			saved.release()
-			delete(s.buffered, name)
+	// Release everything settled at the receiver, oldest first.
+	for end := min(c.Cum, s.nextName); s.bufLow < end; s.bufLow++ {
+		if name := s.bufLow; s.take(name) {
 			s.Stats.Released++
 			if s.OnRelease != nil {
 				s.OnRelease(name)
@@ -796,23 +807,17 @@ func (s *Sender) handleCustody(pkt []byte) error {
 		}
 	}
 	release := func(name uint64) {
-		saved, ok := s.buffered[name]
-		if !ok {
+		if !s.take(name) {
 			return
 		}
-		s.bufBytes -= saved.wireLen
-		saved.release()
-		delete(s.buffered, name)
 		s.Stats.CustodyReleased++
 		s.cfg.Tracer.CustodyReleased(s.cfg.StreamID, ca.Relay, name)
 		if s.OnRelease != nil {
 			s.OnRelease(name)
 		}
 	}
-	for name := range s.buffered {
-		if name < s.custodyCum {
-			release(name)
-		}
+	for end := min(s.custodyCum, s.nextName); s.bufLow < end; s.bufLow++ {
+		release(s.bufLow)
 	}
 	for _, name := range ca.Names {
 		if name < s.custodyCum {

@@ -1,13 +1,12 @@
 package soak
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
 	"time"
 
 	alf "repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/invariant"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/relay"
@@ -23,12 +22,13 @@ import (
 // for tens of minutes at a time (solar conjunction). The run checks
 // the delay-tolerant invariants:
 //
-//   - Every Critical ADU is delivered exactly once, blackouts and all.
+//   - Every Critical ADU is delivered exactly once, blackouts and all;
+//     every other ADU is delivered or reported lost, exactly once,
+//     never corrupted (both modes).
 //   - Custody-relay storage never exceeds its configured bound.
 //   - After submission stops the whole rig drains to quiescence:
 //     custody stores, sender retention, reassembly state, and link
 //     queues all empty without livelock.
-//   - No ADU is delivered twice or corrupted (both modes).
 //
 // Mode selects the stance: "custody" staffs both intermediate nodes
 // with custody-transfer relays (internal/relay) and paces the sender
@@ -103,6 +103,8 @@ var DTNModes = []string{"custody", "aimd"}
 // DTNResult reports one DTN run. Violations empty means every
 // delay-tolerant invariant held.
 type DTNResult struct {
+	invariant.Verdict
+
 	Mode    string
 	Seed    int64
 	Horizon sim.Duration
@@ -128,14 +130,6 @@ type DTNResult struct {
 
 	DrainEvents uint64
 	EndVirtual  sim.Time
-	Violations  []string
-}
-
-// Passed reports whether every invariant held.
-func (r *DTNResult) Passed() bool { return len(r.Violations) == 0 }
-
-func (r *DTNResult) violatef(format string, args ...any) {
-	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
 }
 
 // RunDTN executes one DTN scenario to quiescence and returns the
@@ -284,116 +278,50 @@ func RunDTN(cfg DTNConfig) (*DTNResult, error) {
 
 	// ---- Workload: Count ADUs paced evenly over the first half of
 	// the horizon, deterministic payloads, the standard priority mix
-	// (one Critical per ten).
-	delivered := make(map[uint64]int)
-	submitted := make(map[uint64]int)
+	// (one Critical per ten), and the Critical tier must arrive.
+	ledger := invariant.New(cfg.ADUBytes, alf.Critical)
+	rcv.OnADU = ledger.Deliver
+	rcv.OnLost = ledger.Lose
 	res.Submitted = cfg.Count
-
-	rcv.OnADU = func(adu alf.ADU) {
-		delivered[adu.Name]++
-		if delivered[adu.Name] > 1 {
-			res.violatef("ADU %d delivered %d times", adu.Name, delivered[adu.Name])
-			return
-		}
-		k, known := submitted[adu.Name]
-		if !known {
-			res.violatef("ADU %d delivered but never submitted", adu.Name)
-			return
-		}
-		if adu.Tag != aduTag(uint64(k)) {
-			res.violatef("ADU %d delivered with tag %d, want %d", adu.Name, adu.Tag, aduTag(uint64(k)))
-		}
-		if !bytes.Equal(adu.Data, aduPayload(uint64(k), cfg.ADUBytes)) {
-			res.violatef("ADU %d delivered corrupted", adu.Name)
-		}
-		res.Delivered++
-	}
-	rcv.OnLost = func(name uint64) {
-		res.LostADUs++
-		if k, known := submitted[name]; known && aduClass(uint64(k)) == alf.Critical {
-			res.CriticalLost++
-			res.violatef("Critical ADU %d lost across the blackout", name)
-		}
-	}
 
 	window := cfg.Duration / 2
 	for k := 0; k < cfg.Count; k++ {
-		k := k
+		k := uint64(k)
 		s.After(window*sim.Duration(k)/sim.Duration(cfg.Count), func() {
-			name, err := snd.SendClass(aduTag(uint64(k)), xcode.SyntaxRaw,
-				aduPayload(uint64(k), cfg.ADUBytes), aduClass(uint64(k)))
+			name, err := snd.SendClass(invariant.Tag(k), xcode.SyntaxRaw,
+				ledger.Payload(k), invariant.Class(k))
 			if err != nil {
-				res.violatef("Send(%d) failed: %v", k, err)
+				res.Violatef("Send(%d) failed: %v", k, err)
 				return
 			}
-			submitted[name] = k
+			ledger.Submit(name, k, invariant.Class(k))
 		})
 	}
 
 	// ---- Run to the horizon, then drain. The drain allowance is
 	// hours of virtual time: HoldTime-scale give-up timers are part of
 	// normal DTN operation, not livelock.
-	s.RunUntil(sim.Time(0).Add(cfg.Duration))
-	maxVirtual := sim.Time(0).Add(cfg.Duration + 3*time.Hour)
-	firedAtHorizon := s.Fired()
-	const maxDrainEvents = 5_000_000
-	for s.Step() {
-		if s.Now() > maxVirtual {
-			res.violatef("livelock: events still firing at %v past the horizon", s.Now())
-			break
-		}
-		if s.Fired()-firedAtHorizon > maxDrainEvents {
-			res.violatef("livelock: %d drain events without quiescence", s.Fired()-firedAtHorizon)
-			break
-		}
-	}
-	res.DrainEvents = s.Fired() - firedAtHorizon
+	res.DrainEvents = invariant.Drain(&res.Verdict, s, sim.Time(0).Add(cfg.Duration), 3*time.Hour)
 	res.EndVirtual = s.Now()
 	cfg.Recorder.Sample() // final post-drain reading for the black box
 
-	// ---- Invariants.
-	// Exactly-once for the Critical tier: delivered, once, no matter
-	// what the conjunction did. (OnLost catches the explicit give-up;
-	// this catches ADUs that silently never arrived.)
-	names := make([]uint64, 0, len(submitted))
-	for name := range submitted {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
-	for _, name := range names {
-		if aduClass(uint64(submitted[name])) == alf.Critical && delivered[name] != 1 {
-			res.violatef("Critical ADU %d delivered %d times, want exactly once", name, delivered[name])
-		}
-	}
-
-	// Clean drain: nothing retained, stored, pending, or queued.
-	if n := snd.BufferedADUs(); n != 0 {
-		res.violatef("sender still retains %d ADUs after drain", n)
-	}
-	if b := snd.Backlog(); b != 0 {
-		res.violatef("pacer still %v backlogged after drain", b)
-	}
-	if n := rcv.Pending(); n != 0 {
-		res.violatef("receiver still holds %d partial ADUs after drain", n)
-	}
-	if n := rcv.Missing(); n != 0 {
-		res.violatef("receiver still tracks %d missing ADUs after drain", n)
-	}
-	for _, l := range net.Links() {
-		if q := l.QueueLen(); q != 0 {
-			res.violatef("link %s->%s still queues %d packets after drain",
-				l.From().Name(), l.To().Name(), q)
-		}
-	}
+	// ---- Invariants: every ADU accounted for (the Critical tier
+	// delivered, no matter what the conjunction did), and a clean
+	// drain — nothing retained, pending or queued.
+	tally := ledger.Check(&res.Verdict, "")
+	res.Delivered = tally.Delivered
+	res.LostADUs = tally.Lost
+	res.CriticalLost = tally.MustLost
+	invariant.Quiescent(&res.Verdict, net, invariant.Stream{Snd: snd, Rcv: rcv})
 
 	// Custody plane: bounded storage, drained stores.
 	for _, rl := range relays {
 		if rl.Stats.MaxStoredBytes > int64(cfg.StorageLimit) {
-			res.violatef("relay custody store peaked at %d bytes, bound is %d",
+			res.Violatef("relay custody store peaked at %d bytes, bound is %d",
 				rl.Stats.MaxStoredBytes, cfg.StorageLimit)
 		}
 		if n := rl.StoredADUs(); n != 0 {
-			res.violatef("relay still holds %d ADUs in custody after drain", n)
+			res.Violatef("relay still holds %d ADUs in custody after drain", n)
 		}
 		if rl.Stats.MaxStoredBytes > res.RelayPeakBytes {
 			res.RelayPeakBytes = rl.Stats.MaxStoredBytes

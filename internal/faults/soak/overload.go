@@ -1,11 +1,11 @@
 package soak
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
 	alf "repro/internal/core"
+	"repro/internal/invariant"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -25,7 +25,8 @@ import (
 //     retransmission storms and tail drops.
 //   - No Critical ADU is ever lost: load shedding and the recovery
 //     cap sacrifice Droppable and throttle Standard traffic first.
-//   - No ADU is delivered twice or corrupted.
+//   - Every accepted ADU is delivered or reported lost, exactly once,
+//     never corrupted; every submitted ADU is accepted or shed.
 //   - After submission stops the whole rig drains to quiescence:
 //     pacer backlogs, link queues, reassembly buffers, and retention
 //     all empty without livelock.
@@ -99,21 +100,6 @@ const trunkRateBps = 8e6
 // OverloadShapes lists the arrival patterns the family covers.
 var OverloadShapes = []string{"steady", "burst", "flash"}
 
-// aduClass is the deterministic priority mix: per ten ADUs, one
-// Critical, three Standard, six Droppable — a control/keyframe/filler
-// split. Both submission and loss accounting derive class from the
-// name alone.
-func aduClass(name uint64) alf.Priority {
-	switch name % 10 {
-	case 0:
-		return alf.Critical
-	case 1, 2, 3:
-		return alf.Standard
-	default:
-		return alf.Droppable
-	}
-}
-
 // submitAt places ADU i of `total` on one stream within the window.
 func submitAt(shape string, stream, i, total int, window sim.Duration) sim.Duration {
 	t := window * sim.Duration(i) / sim.Duration(total)
@@ -157,6 +143,8 @@ type OverloadStream struct {
 // OverloadResult reports one overload run. Violations empty means
 // every no-collapse invariant held.
 type OverloadResult struct {
+	invariant.Verdict
+
 	Mode    string
 	Shape   string
 	Seed    int64
@@ -174,14 +162,6 @@ type OverloadResult struct {
 	Streams     []OverloadStream
 	DrainEvents uint64
 	EndVirtual  sim.Time
-	Violations  []string
-}
-
-// Passed reports whether every invariant held.
-func (r *OverloadResult) Passed() bool { return len(r.Violations) == 0 }
-
-func (r *OverloadResult) violatef(format string, args ...any) {
-	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
 }
 
 // RunOverload executes one overload scenario to quiescence and returns
@@ -226,17 +206,10 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 
 	res.Streams = make([]OverloadStream, cfg.Streams)
 
-	type streamState struct {
-		snd       *alf.Sender
-		rcv       *alf.Receiver
-		delivered map[uint64]int
-		// submitted maps assigned wire names back to submission indices
-		// (shed Droppables consume no name, so wire names and submission
-		// order diverge under load — exactly when verification matters).
-		submitted map[uint64]int
-		acct      *OverloadStream
-	}
-	streams := make([]*streamState, cfg.Streams)
+	// One ledger per stream maps wire names back to submission indices:
+	// shed Droppables consume no name, so the two diverge under load.
+	ledgers := make([]*invariant.Ledger, cfg.Streams)
+	streams := make([]invariant.Stream, cfg.Streams)
 
 	for i := 0; i < cfg.Streams; i++ {
 		id := byte(i + 1)
@@ -287,60 +260,30 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 		src.SetHandler(func(p *netsim.Packet) { snd.HandleControl(p.Payload) })
 		dst.SetHandler(func(p *netsim.Packet) { rcv.HandlePacket(p.Payload) })
 
-		res.Streams[i].StreamID = id
-		st := &streamState{snd: snd, rcv: rcv,
-			delivered: make(map[uint64]int),
-			submitted: make(map[uint64]int),
-			acct:      &res.Streams[i]}
-		streams[i] = st
-
-		rcv.OnADU = func(adu alf.ADU) {
-			st.delivered[adu.Name]++
-			if st.delivered[adu.Name] > 1 {
-				res.violatef("stream %d: ADU %d delivered %d times",
-					id, adu.Name, st.delivered[adu.Name])
-				return
-			}
-			k, known := st.submitted[adu.Name]
-			if !known {
-				res.violatef("stream %d: ADU %d delivered but never accepted", id, adu.Name)
-				return
-			}
-			if adu.Tag != aduTag(uint64(k)) {
-				res.violatef("stream %d: ADU %d delivered with tag %d, want %d",
-					id, adu.Name, adu.Tag, aduTag(uint64(k)))
-			}
-			if !bytes.Equal(adu.Data, aduPayload(uint64(k), cfg.ADUBytes)) {
-				res.violatef("stream %d: ADU %d delivered corrupted", id, adu.Name)
-			}
-			st.acct.Delivered++
-			st.acct.DeliveredBytes += int64(len(adu.Data))
-		}
-		rcv.OnLost = func(name uint64) {
-			st.acct.Lost++
-			if k, known := st.submitted[name]; known && aduClass(uint64(k)) == alf.Critical {
-				st.acct.CriticalLost++
-				res.violatef("stream %d: Critical ADU %d lost under overload", id, name)
-			}
-		}
+		acct := &res.Streams[i]
+		acct.StreamID = id
+		ledger := invariant.New(cfg.ADUBytes, alf.Critical)
+		ledgers[i] = ledger
+		streams[i] = invariant.Stream{Snd: snd, Rcv: rcv}
+		rcv.OnADU = ledger.Deliver
+		rcv.OnLost = ledger.Lose
 
 		// ---- Workload: perStream ADUs shaped over the submit window.
 		for k := 0; k < perStream; k++ {
-			k := k
-			s.After(submitAt(cfg.Shape, i, k, perStream, submitWindow), func() {
-				st.acct.Submitted++
-				class := aduClass(uint64(k))
-				name, err := snd.SendClass(aduTag(uint64(k)), xcode.SyntaxRaw,
-					aduPayload(uint64(k), cfg.ADUBytes), class)
+			k := uint64(k)
+			s.After(submitAt(cfg.Shape, i, int(k), perStream, submitWindow), func() {
+				acct.Submitted++
+				class := invariant.Class(k)
+				name, err := snd.SendClass(invariant.Tag(k), xcode.SyntaxRaw, ledger.Payload(k), class)
 				switch {
 				case err == nil:
-					st.submitted[name] = k
-					st.acct.Accepted++
-					st.acct.AcceptedBytes += int64(cfg.ADUBytes)
+					ledger.Submit(name, k, class)
+					acct.Accepted++
+					acct.AcceptedBytes += int64(cfg.ADUBytes)
 				case err == alf.ErrShed && class == alf.Droppable:
-					st.acct.Shed++
+					acct.Shed++
 				default:
-					res.violatef("stream %d: Send(%d) failed: %v", id, k, err)
+					res.Violatef("stream %d: Send(%d) failed: %v", id, k, err)
 				}
 			})
 		}
@@ -348,55 +291,31 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 
 	// ---- Run to the horizon, then drain to quiescence with the same
 	// livelock bounds as the fault soak.
-	s.RunUntil(sim.Time(0).Add(cfg.Duration))
-	maxVirtual := sim.Time(0).Add(cfg.Duration + 15*time.Second)
-	firedAtHorizon := s.Fired()
-	const maxDrainEvents = 5_000_000
-	for s.Step() {
-		if s.Now() > maxVirtual {
-			res.violatef("livelock: events still firing at %v past the horizon", s.Now())
-			break
-		}
-		if s.Fired()-firedAtHorizon > maxDrainEvents {
-			res.violatef("livelock: %d drain events without quiescence",
-				s.Fired()-firedAtHorizon)
-			break
-		}
-	}
-	res.DrainEvents = s.Fired() - firedAtHorizon
+	res.DrainEvents = invariant.Drain(&res.Verdict, s, sim.Time(0).Add(cfg.Duration), 15*time.Second)
 	res.EndVirtual = s.Now()
 	cfg.Recorder.Sample() // final post-drain reading for the black box
 
-	// ---- Aggregate accounting and invariants.
-	for _, st := range streams {
-		a := st.acct
-		a.ShedADUsConsistency(res)
-		a.FinalRateBps = st.snd.Rate()
-		a.RateChanges = st.snd.Stats.RateChanges
-		a.RetxSuppressed = st.snd.Stats.RetxSuppressed
+	// ---- Per-stream accounting and invariants, then a clean drain of
+	// every endpoint and link.
+	for i, st := range streams {
+		a := &res.Streams[i]
+		if a.Accepted+a.Shed != a.Submitted {
+			res.Violatef("stream %d: accepted %d + shed %d != submitted %d",
+				a.StreamID, a.Accepted, a.Shed, a.Submitted)
+		}
+		tally := ledgers[i].Check(&res.Verdict, fmt.Sprintf("stream %d: ", a.StreamID))
+		a.Delivered = tally.Delivered
+		a.DeliveredBytes = int64(tally.Delivered) * int64(cfg.ADUBytes)
+		a.Lost = tally.Lost
+		a.CriticalLost = tally.MustLost
+		a.FinalRateBps = st.Snd.Rate()
+		a.RateChanges = st.Snd.Stats.RateChanges
+		a.RetxSuppressed = st.Snd.Stats.RetxSuppressed
 		res.AcceptedBytes += a.AcceptedBytes
 		res.DeliveredBytes += a.DeliveredBytes
-		res.ShedADUs += st.snd.Stats.ShedADUs
-
-		if n := st.snd.BufferedADUs(); n != 0 {
-			res.violatef("stream %d: %d ADUs still retained after drain", a.StreamID, n)
-		}
-		if b := st.snd.Backlog(); b != 0 {
-			res.violatef("stream %d: pacer still %v backlogged after drain", a.StreamID, b)
-		}
-		if n := st.rcv.Pending(); n != 0 {
-			res.violatef("stream %d: %d partial ADUs still held after drain", a.StreamID, n)
-		}
-		if n := st.rcv.Missing(); n != 0 {
-			res.violatef("stream %d: %d ADUs still tracked missing after drain", a.StreamID, n)
-		}
+		res.ShedADUs += st.Snd.Stats.ShedADUs
 	}
-	for _, l := range net.Links() {
-		if q := l.QueueLen(); q != 0 {
-			res.violatef("netsim: link %s->%s still queues %d packets after drain",
-				l.From().Name(), l.To().Name(), q)
-		}
-	}
+	invariant.Quiescent(&res.Verdict, net, streams...)
 	res.TrunkDrops = lr.Stats.QueueDrops + rl.Stats.QueueDrops
 
 	// Goodput floor: delivered payload over the submit window must
@@ -411,19 +330,9 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	}
 	res.GoodputTarget = 0.7 * capBps
 	if res.GoodputBps < res.GoodputTarget {
-		res.violatef("goodput %.2f Mb/s under the %.2f Mb/s no-collapse floor (capacity %.0f Mb/s)",
+		res.Violatef("goodput %.2f Mb/s under the %.2f Mb/s no-collapse floor (capacity %.0f Mb/s)",
 			res.GoodputBps/1e6, res.GoodputTarget/1e6, res.CapacityBps/1e6)
 	}
 	noteViolations(cfg.Recorder, res.Violations)
 	return res, nil
-}
-
-// ShedADUsConsistency cross-checks the application-side shed count
-// against submission accounting: every submitted ADU was accepted or
-// shed, and only Droppables were shed.
-func (a *OverloadStream) ShedADUsConsistency(res *OverloadResult) {
-	if a.Accepted+a.Shed != a.Submitted {
-		res.violatef("stream %d: accepted %d + shed %d != submitted %d",
-			a.StreamID, a.Accepted, a.Shed, a.Submitted)
-	}
 }

@@ -17,18 +17,20 @@
 //   - The OTP byte stream is delivered as an exact prefix of what was
 //     submitted; a connection that did not die delivers everything.
 //
+// The delivery and drain checks are internal/invariant's; this file
+// adds the chaos-only ones (state bounds, the OTP prefix).
+//
 // A run is fully determined by (code, Config): the traffic, the fault
 // schedule, and every impairment derive from explicit seeds. The same
 // harness backs `go test` (soak_test.go) and cmd/alfchaos.
 package soak
 
 import (
-	"bytes"
-	"fmt"
 	"time"
 
 	alf "repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/invariant"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/otp"
@@ -102,6 +104,8 @@ func (c *Config) fill() {
 // Result reports one soak run. Violations empty means every invariant
 // held.
 type Result struct {
+	invariant.Verdict
+
 	Scenario string
 	Seed     int64
 	Policy   alf.Policy
@@ -132,33 +136,11 @@ type Result struct {
 	TrunkDownDrops int64
 	TrunkHeld      int64
 
-	Violations []string
-	// ViolatedADUs names the ALF ADUs whose delivery accounting broke
-	// (duplicated, both-delivered-and-lost, or unaccounted for), so a
-	// caller holding the run's tracer can dump their timelines.
+	// ViolatedADUs names the ALF ADUs that broke a delivery rule
+	// (duplicated, damaged, both-delivered-and-lost, unaccounted for),
+	// so a caller holding the run's tracer can dump their timelines.
 	ViolatedADUs []uint64
 }
-
-// Passed reports whether every invariant held.
-func (r *Result) Passed() bool { return len(r.Violations) == 0 }
-
-func (r *Result) violatef(format string, args ...any) {
-	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-}
-
-// aduPayload is the deterministic per-name payload pattern; delivery
-// verifies against it byte for byte, so any corruption or cross-ADU
-// mixup is caught without storing submitted copies.
-func aduPayload(name uint64, n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(uint64(i)*167 + name*59 + 13)
-	}
-	return b
-}
-
-// aduTag is the deterministic tag for an ADU name.
-func aduTag(name uint64) uint64 { return name*2654435761 + 7 }
 
 // otpByte is the deterministic OTP stream pattern at offset off.
 func otpByte(off int64) byte { return byte(off*37>>3) ^ byte(off) }
@@ -253,24 +235,15 @@ func Run(cfg Config) (*Result, error) {
 	alfSrc.SetHandler(func(p *netsim.Packet) { snd.HandleControl(p.Payload) })
 	alfDst.SetHandler(func(p *netsim.Packet) { rcv.HandlePacket(p.Payload) })
 
-	delivered := make(map[uint64]int)
-	lost := make(map[uint64]int)
-	expired := make(map[uint64]int)
-	rcv.OnADU = func(adu alf.ADU) {
-		delivered[adu.Name]++
-		if adu.Tag != aduTag(adu.Name) {
-			res.violatef("alf: ADU %d delivered with tag %d, want %d",
-				adu.Name, adu.Tag, aduTag(adu.Name))
-		}
-		if !bytes.Equal(adu.Data, aduPayload(adu.Name, cfg.ADUBytes)) {
-			res.violatef("alf: ADU %d delivered corrupted", adu.Name)
-		}
-	}
-	rcv.OnLost = func(name uint64) { lost[name]++ }
-	snd.OnExpire = func(name uint64) { expired[name]++ }
+	// Wire names count up from zero with submission, so ADU k travels
+	// as name k. No class must arrive: every policy may give up.
+	ledger := invariant.New(cfg.ADUBytes)
+	rcv.OnADU = ledger.Deliver
+	rcv.OnLost = ledger.Lose
+	snd.OnExpire = ledger.Expire
 	snd.OnResend = func(name uint64) (uint64, xcode.SyntaxID, []byte, bool) {
 		// AppRecompute: regenerate from the pattern — always possible.
-		return aduTag(name), xcode.SyntaxRaw, aduPayload(name, cfg.ADUBytes), true
+		return invariant.Tag(name), xcode.SyntaxRaw, ledger.Payload(name), true
 	}
 
 	// ---- OTP connection over the same path.
@@ -302,7 +275,7 @@ func Run(cfg Config) (*Result, error) {
 	oRcv.OnData = func(d []byte) {
 		for i, b := range d {
 			if b != otpByte(otpRecv+int64(i)) {
-				res.violatef("otp: byte at offset %d corrupted", otpRecv+int64(i))
+				res.Violatef("otp: byte at offset %d corrupted", otpRecv+int64(i))
 				break
 			}
 		}
@@ -317,12 +290,14 @@ func Run(cfg Config) (*Result, error) {
 		aduEvery = time.Microsecond // degenerate horizon: submit back to back
 	}
 	for i := 0; i < cfg.ADUs; i++ {
-		name := uint64(i)
+		k := uint64(i)
 		s.After(sim.Duration(i)*aduEvery, func() {
-			if _, err := snd.Send(aduTag(name), xcode.SyntaxRaw,
-				aduPayload(name, cfg.ADUBytes)); err != nil {
-				res.violatef("alf: Send(%d) failed: %v", name, err)
+			name, err := snd.Send(invariant.Tag(k), xcode.SyntaxRaw, ledger.Payload(k))
+			if err != nil {
+				res.Violatef("alf: Send(%d) failed: %v", k, err)
+				return
 			}
+			ledger.Submit(name, k, alf.Standard)
 		})
 	}
 	res.Submitted = cfg.ADUs
@@ -349,7 +324,7 @@ func Run(cfg Config) (*Result, error) {
 				return // submission stops at the app once the conn fails
 			}
 			if err := oSnd.Send(chunk); err != nil {
-				res.violatef("otp: Send at offset %d failed: %v", off, err)
+				res.Violatef("otp: Send at offset %d failed: %v", off, err)
 				return
 			}
 			otpSent += int64(n)
@@ -390,56 +365,18 @@ func Run(cfg Config) (*Result, error) {
 	sample()
 
 	// ---- Run to the horizon, then drain: after the last fault heals,
-	// the event loop must go quiet on its own. A bounded number of
-	// virtual seconds and events past the horizon covers legitimate
-	// tail work (hold-time give-ups, OTP's dead fuse at ~FailThreshold
-	// x MaxRTO); anything beyond that is a recovery livelock.
-	s.RunUntil(sim.Time(0).Add(cfg.Duration))
-	maxVirtual := sim.Time(0).Add(cfg.Duration + 15*time.Second)
-	firedAtHorizon := s.Fired()
-	const maxDrainEvents = 5_000_000
-	for s.Step() {
-		if s.Now() > maxVirtual {
-			res.violatef("livelock: events still firing at %v, %d past the horizon",
-				s.Now(), s.Fired()-firedAtHorizon)
-			break
-		}
-		if s.Fired()-firedAtHorizon > maxDrainEvents {
-			res.violatef("livelock: %d drain events without quiescence",
-				s.Fired()-firedAtHorizon)
-			break
-		}
-	}
-	res.DrainEvents = s.Fired() - firedAtHorizon
+	// the event loop must go quiet on its own. Fifteen virtual seconds
+	// past the horizon covers legitimate tail work (hold-time give-ups,
+	// OTP's dead fuse at ~FailThreshold x MaxRTO).
+	res.DrainEvents = invariant.Drain(&res.Verdict, s, sim.Time(0).Add(cfg.Duration), 15*time.Second)
 	res.EndVirtual = s.Now()
 	cfg.Recorder.Sample() // final post-drain reading for the black box
 
 	// ---- Invariants.
-	for i := 0; i < cfg.ADUs; i++ {
-		name := uint64(i)
-		d, l := delivered[name], lost[name]
-		broken := true
-		switch {
-		case d > 1:
-			res.violatef("alf: ADU %d delivered %d times", name, d)
-		case l > 1:
-			res.violatef("alf: ADU %d reported lost %d times", name, l)
-		case d == 1 && l == 1:
-			res.violatef("alf: ADU %d both delivered and reported lost", name)
-		case d == 0 && l == 0:
-			res.violatef("alf: ADU %d unaccounted for (neither delivered nor lost)", name)
-		default:
-			broken = false
-		}
-		if broken {
-			res.ViolatedADUs = append(res.ViolatedADUs, name)
-		}
-		if expired[name] > 1 {
-			res.violatef("alf: ADU %d expired %d times at the sender", name, expired[name])
-		}
-	}
-	res.Delivered = len(delivered)
-	res.Lost = len(lost)
+	tally := ledger.Check(&res.Verdict, "alf: ")
+	res.ViolatedADUs = tally.Broken
+	res.Delivered = tally.Delivered
+	res.Lost = tally.Lost
 	res.Expired = snd.Stats.DeadlineDrops
 	res.ResentADUs = snd.Stats.ResentADUs
 	res.RecomputeADUs = snd.Stats.RecomputeADUs
@@ -451,38 +388,21 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Policy == alf.SenderBuffered {
 		bound := (int(aCfg.ADUDeadline/aduEvery) + 4) * cfg.ADUBytes
 		if res.PeakRetention > bound {
-			res.violatef("alf: peak retention %d B exceeds deadline bound %d B",
+			res.Violatef("alf: peak retention %d B exceeds deadline bound %d B",
 				res.PeakRetention, bound)
 		}
 	}
 	// Reassembly bound: an ADU is held at most HoldTime before give-up.
 	if bound := int(aCfg.HoldTime/aduEvery) + 4; res.PeakReassembly > bound {
-		res.violatef("alf: peak reassembly %d ADUs exceeds hold-time bound %d",
+		res.Violatef("alf: peak reassembly %d ADUs exceeds hold-time bound %d",
 			res.PeakReassembly, bound)
 	}
 
-	// Quiescent end state: nothing retained, nothing pending, every
+	// Quiescent end state: nothing retained, pending or queued, every
 	// fault healed.
-	if n := snd.BufferedADUs(); n != 0 {
-		res.violatef("alf: %d ADUs still retained after drain", n)
-	}
-	if n := rcv.Pending(); n != 0 {
-		res.violatef("alf: %d partial ADUs still held after drain", n)
-	}
-	if n := rcv.Missing(); n != 0 {
-		res.violatef("alf: %d ADUs still tracked missing after drain", n)
-	}
+	invariant.Quiescent(&res.Verdict, net, invariant.Stream{Snd: snd, Rcv: rcv})
 	if inj.Active() {
-		res.violatef("faults: injector still active after the horizon")
-	}
-	for _, l := range net.Links() {
-		if l.Down() {
-			res.violatef("faults: link %s->%s left down", l.From().Name(), l.To().Name())
-		}
-		if h := l.HeldLen(); h != 0 {
-			res.violatef("netsim: link %s->%s still holds %d packets",
-				l.From().Name(), l.To().Name(), h)
-		}
+		res.Violatef("faults: injector still active after the horizon")
 	}
 
 	// OTP stream integrity: delivery is a verified prefix (checked in
@@ -493,14 +413,14 @@ func Run(cfg Config) (*Result, error) {
 	res.OTPTimeouts = oSnd.Stats.Timeouts
 	res.OTPRetransmits = oSnd.Stats.Retransmits
 	if res.OTPDelivered > otpSent {
-		res.violatef("otp: delivered %d bytes of %d submitted", res.OTPDelivered, otpSent)
+		res.Violatef("otp: delivered %d bytes of %d submitted", res.OTPDelivered, otpSent)
 	}
 	if !res.OTPDead && res.OTPDelivered != otpSent {
-		res.violatef("otp: live connection delivered %d of %d bytes",
+		res.Violatef("otp: live connection delivered %d of %d bytes",
 			res.OTPDelivered, otpSent)
 	}
 	if res.OTPDead && oSnd.Stats.Died != 1 {
-		res.violatef("otp: Dead() true but Died stat = %d", oSnd.Stats.Died)
+		res.Violatef("otp: Dead() true but Died stat = %d", oSnd.Stats.Died)
 	}
 
 	res.Faults = inj.Stats

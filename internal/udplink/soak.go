@@ -1,21 +1,23 @@
 package udplink
 
 import (
-	"bytes"
 	"fmt"
 	"net"
+	"strings"
 	"time"
 
 	"repro/internal/buf"
 	alf "repro/internal/core"
+	"repro/internal/invariant"
 	"repro/internal/sim"
 	"repro/internal/xcode"
 )
 
 // SoakConfig parameterizes a real-UDP loopback soak: the same
 // exactly-once / integrity / drain invariants internal/faults/soak
-// checks on the simulator, asserted off-simulator against kernel
-// sockets, wall-clock timers, and deterministic send-side drops.
+// checks on the simulator — through the same internal/invariant
+// ledger — asserted off-simulator against kernel sockets, wall-clock
+// timers, and deterministic send-side drops.
 // Zero fields take defaults.
 type SoakConfig struct {
 	// ADUs and ADUBytes shape the workload (defaults 200 x 3000 B).
@@ -72,24 +74,16 @@ type SoakResult struct {
 	Elapsed   time.Duration
 }
 
-// soakPayload builds the deterministic payload for one ADU name.
-func soakPayload(name uint64, n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(uint64(i)*7 + name*131 + 5)
-	}
-	return b
-}
-
 // RunSoak transfers a workload across a pair of real loopback UDP
 // sockets — data plane through a deterministic drop wrapper — and
 // checks the soak invariants:
 //
 //   - every submitted ADU is delivered exactly once (SenderBuffered
 //     recovery heals all drops; none may be lost or duplicated),
-//   - every delivered payload is byte-identical to what was submitted,
+//   - every delivered tag and payload is byte-identical to what was
+//     submitted,
 //   - after delivery the receiver has fully drained (no partials, no
-//     tracked gaps) and the sender retains nothing.
+//     tracked gaps) and the sender retains nothing, backlogs nothing.
 //
 // It returns counters for reporting; any violated invariant is an
 // error.
@@ -136,32 +130,29 @@ func RunSoak(cfg SoakConfig) (SoakResult, error) {
 	ctrlLink.SetHandler(func(p []byte) { _ = rcv.HandlePacket(p) })
 	dataLink.SetHandler(func(p []byte) { _ = snd.HandleControl(p) })
 
-	seen := make(map[uint64]int, cfg.ADUs)
+	// SenderBuffered recovery heals every drop, so every class must
+	// arrive: a single loss report is a violation.
+	ledger := invariant.New(cfg.ADUBytes, alf.Standard, alf.Critical, alf.Droppable)
 	rcv.OnADU = func(a alf.ADU) {
-		seen[a.Tag]++
-		if seen[a.Tag] > 1 {
-			res.Duplicate++
-		}
-		if !bytes.Equal(a.Data, soakPayload(a.Tag, cfg.ADUBytes)) {
-			res.Corrupt++
-		}
-		res.Delivered++
+		ledger.Deliver(a)
 		a.Release()
 	}
-	rcv.OnLost = func(name uint64) { res.Lost++ }
+	rcv.OnLost = ledger.Lose
 
 	submitted := 0
 	sched.Every(cfg.SubmitEvery, func() bool {
 		if submitted >= cfg.ADUs {
 			return false
 		}
-		name := uint64(submitted)
-		if _, err := snd.Send(name, xcode.SyntaxRaw, soakPayload(name, cfg.ADUBytes)); err == nil {
+		k := uint64(submitted)
+		if name, err := snd.Send(invariant.Tag(k), xcode.SyntaxRaw, ledger.Payload(k)); err == nil {
+			ledger.Submit(name, k, alf.Standard)
 			submitted++
 		}
 		return submitted < cfg.ADUs
 	})
 
+	stream := invariant.Stream{Snd: snd, Rcv: rcv}
 	start := time.Now()
 	timedOut := false
 	clk.Run(func() bool {
@@ -169,31 +160,30 @@ func RunSoak(cfg SoakConfig) (SoakResult, error) {
 			timedOut = true
 			return true
 		}
-		return submitted == cfg.ADUs &&
-			res.Delivered+res.Lost >= int64(cfg.ADUs) &&
-			rcv.Pending() == 0 && rcv.Missing() == 0 &&
-			snd.BufferedADUs() == 0
+		return submitted == cfg.ADUs && ledger.Open() == 0 && stream.Idle()
 	})
 	clk.Stop()
 	res.Elapsed = time.Since(start)
 	res.WireDrops = lossy.Dropped()
 	res.Resent = snd.Stats.ResentADUs
 	res.AuthFails = rcv.Stats.AuthFails
+	var v invariant.Verdict
+	tally := ledger.Check(&v, "")
+	res.Delivered = int64(tally.Delivered)
+	res.Lost = int64(tally.Lost)
+	res.Duplicate = int64(tally.Duplicated)
+	res.Corrupt = int64(tally.Damaged)
 
-	switch {
-	case timedOut:
+	if timedOut {
 		return res, fmt.Errorf("udplink soak: timeout after %v (delivered %d/%d, pending %d, missing %d, drops %d)",
 			cfg.Timeout, res.Delivered, cfg.ADUs, rcv.Pending(), rcv.Missing(), res.WireDrops)
-	case res.Lost != 0:
-		return res, fmt.Errorf("udplink soak: %d ADUs lost under SenderBuffered recovery", res.Lost)
-	case res.Duplicate != 0:
-		return res, fmt.Errorf("udplink soak: %d duplicate deliveries", res.Duplicate)
-	case res.Corrupt != 0:
-		return res, fmt.Errorf("udplink soak: %d corrupted deliveries", res.Corrupt)
-	case res.Delivered != int64(cfg.ADUs):
-		return res, fmt.Errorf("udplink soak: delivered %d of %d", res.Delivered, cfg.ADUs)
-	case res.AuthFails != 0:
-		return res, fmt.Errorf("udplink soak: %d tag failures on a drop-only path", res.AuthFails)
+	}
+	invariant.Quiescent(&v, nil, stream)
+	if res.AuthFails != 0 {
+		v.Violatef("%d tag failures on a drop-only path", res.AuthFails)
+	}
+	if !v.Passed() {
+		return res, fmt.Errorf("udplink soak: %s", strings.Join(v.Violations, "; "))
 	}
 	return res, nil
 }
